@@ -1,4 +1,18 @@
-// SAT-based combinational equivalence checking.
+// Structural combinational equivalence checking (CEC).
+//
+// check_equivalence() first folds, then hashes, then SAT-solves:
+//   1. Fold: both circuits are copied into one structurally hashed netlist
+//      over shared data inputs, with each circuit's key inputs replaced by
+//      its key constants. Constants propagate, and gates are rewritten into
+//      a canonical NOT/AND/XOR/MUX/LUT form, so equal logic built from
+//      different gate mixes still lands on one node.
+//   2. Strash: output pairs that landed on the same node (including the
+//      same constant) are proven equal without SAT.
+//   3. Residual SAT: only the fan-in cones of the remaining pairs are
+//      Tseitin-encoded, under one miter, and solved.
+// For a locked circuit under its correct key, step 1 collapses everything
+// outside the locking logic onto the host's nodes. The SAT call then sees
+// only the residual cones.
 #pragma once
 
 #include <optional>

@@ -9,12 +9,7 @@
 #include <string_view>
 #include <unordered_map>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include "netlist/file_bytes.hpp"
 
 namespace ril::netlist {
 
@@ -391,52 +386,8 @@ Netlist read_bench_file(const std::string& path) {
   if (auto dot = name.find_last_of('.'); dot != std::string::npos) {
     name = name.substr(0, dot);
   }
-#if defined(__unix__) || defined(__APPLE__)
-  // Map the file read-only and parse straight out of the page cache: the
-  // tokenizer's string_views then alias mapped pages instead of a heap
-  // copy of the whole file (one copy saved on multi-10MB hosts, and no
-  // istreambuf_iterator per-char loop). Anything mmap cannot serve --
-  // pipes, empty files, exotic filesystems -- falls back to a plain
-  // read() loop into a buffer. parse_bench sees the same bytes either
-  // way, so line-numbered parse errors are bit-identical across paths.
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw std::runtime_error("cannot open " + path);
-  struct FdGuard {
-    int fd;
-    ~FdGuard() {
-      if (fd >= 0) ::close(fd);
-    }
-  } fd_guard{fd};
-  struct stat st {};
-  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
-    void* map = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                       PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map != MAP_FAILED) {
-      struct MapGuard {
-        void* p;
-        std::size_t n;
-        ~MapGuard() { ::munmap(p, n); }
-      } map_guard{map, static_cast<std::size_t>(st.st_size)};
-      return parse_bench(
-          std::string_view(static_cast<const char*>(map),
-                           static_cast<std::size_t>(st.st_size)),
-          std::move(name));
-    }
-  }
-  std::string text;
-  if (st.st_size > 0) text.reserve(static_cast<std::size_t>(st.st_size));
-  char chunk[1 << 16];
-  ssize_t got;
-  while ((got = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    text.append(chunk, static_cast<std::size_t>(got));
-  }
-  if (got < 0) throw std::runtime_error("cannot read " + path);
-  return parse_bench(text, std::move(name));
-#else
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return read_bench(in, std::move(name));
-#endif
+  const FileBytes bytes(path);
+  return parse_bench(bytes.view(), std::move(name));
 }
 
 void write_bench(std::ostream& out, const Netlist& netlist) {

@@ -1,9 +1,13 @@
 #include "service/http.hpp"
 
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "runtime/campaign.hpp"
 
@@ -41,6 +45,28 @@ const char* reason_phrase(int status) {
 
 #if RIL_HAVE_SOCKETS
 
+/// Strict Content-Length value: decimal digits only (trailing blanks
+/// allowed), no sign, no overflow.
+std::optional<std::size_t> parse_content_length(std::string_view value) {
+  while (!value.empty() && (value.back() == ' ' || value.back() == '\t')) {
+    value.remove_suffix(1);
+  }
+  std::size_t length = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, length);
+  if (value.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return length;
+}
+
+/// recv() that retries when a signal interrupts it.
+ssize_t recv_retrying(int fd, char* buffer, std::size_t size) {
+  ssize_t n;
+  do {
+    n = ::recv(fd, buffer, size, 0);
+  } while (n < 0 && errno == EINTR);
+  return n;
+}
+
 /// Reads until the header terminator, then Content-Length body bytes.
 /// Returns false on malformed input or transport error.
 bool read_request(int fd, HttpRequest& request) {
@@ -48,7 +74,7 @@ bool read_request(int fd, HttpRequest& request) {
   char chunk[4096];
   std::size_t header_end = std::string::npos;
   while (header_end == std::string::npos) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    const ssize_t n = recv_retrying(fd, chunk, sizeof(chunk));
     if (n <= 0) return false;
     buffer.append(chunk, static_cast<std::size_t>(n));
     header_end = buffer.find("\r\n\r\n");
@@ -77,7 +103,9 @@ bool read_request(int fd, HttpRequest& request) {
   }
   request.target = target;
 
-  // Headers.
+  // Headers. Content-Length must parse strictly, and repeats must agree:
+  // a lenient parse would silently drop or truncate the body.
+  std::optional<std::size_t> content_length;
   std::size_t pos = line_end == std::string::npos ? head.size() : line_end + 2;
   while (pos < head.size()) {
     std::size_t eol = head.find("\r\n", pos);
@@ -88,24 +116,26 @@ bool read_request(int fd, HttpRequest& request) {
       std::string name = lower(line.substr(0, colon));
       std::size_t vstart = colon + 1;
       while (vstart < line.size() && line[vstart] == ' ') ++vstart;
-      request.headers[name] = line.substr(vstart);
+      std::string value = line.substr(vstart);
+      if (name == "content-length") {
+        const auto length = parse_content_length(value);
+        if (!length || (content_length && *content_length != *length)) {
+          return false;
+        }
+        content_length = length;
+      }
+      request.headers[std::move(name)] = std::move(value);
     }
     pos = eol + 2;
   }
-
-  std::size_t content_length = 0;
-  auto it = request.headers.find("content-length");
-  if (it != request.headers.end()) {
-    content_length = static_cast<std::size_t>(
-        std::strtoull(it->second.c_str(), nullptr, 10));
-    if (content_length > (1u << 28)) return false;  // 256 MiB sanity cap
-  }
-  while (rest.size() < content_length) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+  const std::size_t body_length = content_length.value_or(0);
+  if (body_length > (1u << 28)) return false;  // 256 MiB sanity cap
+  while (rest.size() < body_length) {
+    const ssize_t n = recv_retrying(fd, chunk, sizeof(chunk));
     if (n <= 0) return false;
     rest.append(chunk, static_cast<std::size_t>(n));
   }
-  request.body = rest.substr(0, content_length);
+  request.body = rest.substr(0, body_length);
   return true;
 }
 
@@ -248,7 +278,7 @@ std::string http_request(std::uint16_t port, const std::string& method,
   std::string response;
   char chunk[4096];
   ssize_t n;
-  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+  while ((n = recv_retrying(fd, chunk, sizeof(chunk))) > 0) {
     response.append(chunk, static_cast<std::size_t>(n));
   }
   ::close(fd);

@@ -11,6 +11,7 @@
 #include "core/ril_block.hpp"
 #include "locking/schemes.hpp"
 #include "netlist/bench_io.hpp"
+#include "netlist/file_bytes.hpp"
 #include "sat/drat_check.hpp"
 
 namespace ril::service {
@@ -332,10 +333,7 @@ std::shared_ptr<const netlist::Netlist> AttackService::resolve_netlist(
       throw std::runtime_error("missing \"" + field + "\" or \"" + field +
                                "_path\"");
     }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("cannot open " + path);
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
+    text = netlist::FileBytes(path).view();
     verilog = path.size() > 2 && path.compare(path.size() - 2, 2, ".v") == 0;
   } else {
     verilog = text.find("module ") != std::string::npos;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 
 #include "attacks/metrics.hpp"
@@ -31,18 +32,21 @@ struct ConfigCase {
   std::size_t size;
   bool output_network;
   bool scan;
+  // gtest names each case after the raw bytes of its parameter. Naming the
+  // padding keeps those bytes zero, so the case names are the same every run.
+  std::uint8_t reserved[6] = {};
 };
 
 class RilConfig : public ::testing::TestWithParam<ConfigCase> {};
 
 TEST_P(RilConfig, FunctionalKeyRestoresCircuit) {
-  const auto [size, output_network, scan] = GetParam();
+  const ConfigCase& param = GetParam();
   const Netlist host = host_circuit();
   Netlist locked = host;
   RilBlockConfig config;
-  config.size = size;
-  config.output_network = output_network;
-  config.scan_obfuscation = scan;
+  config.size = param.size;
+  config.output_network = param.output_network;
+  config.scan_obfuscation = param.scan;
   const RilLockResult lock = insert_ril_blocks(locked, 2, config, 77);
 
   ASSERT_EQ(lock.functional_key.size(), locked.key_inputs().size());

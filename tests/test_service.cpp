@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,13 @@
 #include "runtime/campaign.hpp"
 #include "service/caches.hpp"
 #include "service/http.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+#endif
 
 namespace ril::service {
 namespace {
@@ -401,6 +409,64 @@ TEST(Service, HttpRoundTripAndShutdown) {
   EXPECT_TRUE(service.shutdown_requested());
   server.stop();
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+/// Sends `raw` verbatim to the loopback server and returns the response
+/// status (0 on transport failure).
+int raw_status(std::uint16_t port, const std::string& raw) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return 0;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::send(fd, raw.data(), raw.size(), 0) !=
+          static_cast<ssize_t>(raw.size())) {
+    ::close(fd);
+    return 0;
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string response;
+  char chunk[512];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    response.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  const std::size_t sp = response.find(' ');
+  return sp == std::string::npos ? 0 : std::atoi(response.c_str() + sp + 1);
+}
+
+TEST(Service, HttpContentLengthIsParsedStrictly) {
+  std::vector<std::string> bodies;
+  std::mutex mutex;
+  HttpServer server([&](const HttpRequest& request) {
+    std::lock_guard<std::mutex> lock(mutex);
+    bodies.push_back(request.body);
+    return HttpResponse{};
+  });
+  server.start(0, 1);
+  const auto post = [&](const std::string& headers) {
+    return raw_status(server.port(),
+                      "POST /v1/echo HTTP/1.1\r\n" + headers + "\r\nhello");
+  };
+  // A non-numeric length used to read as 0 and drop the body silently.
+  for (const char* bad :
+       {"Content-Length: abc\r\n", "Content-Length: 5x\r\n",
+        "Content-Length: -5\r\n", "Content-Length: +5\r\n",
+        "Content-Length:\r\n", "Content-Length: 99999999999999999999999\r\n",
+        "Content-Length: 5\r\nContent-Length: 4\r\n"}) {
+    EXPECT_EQ(post(bad), 400) << bad;
+  }
+  EXPECT_TRUE(bodies.empty());
+  EXPECT_EQ(post("Content-Length: 5\r\n"), 200);
+  EXPECT_EQ(post("content-length: 5 \r\nContent-Length: 5\r\n"), 200);
+  EXPECT_EQ(post(""), 200);  // no length: empty body
+  server.stop();
+  EXPECT_EQ(bodies, (std::vector<std::string>{"hello", "hello", ""}));
+}
+#endif
 
 TEST(Service, MalformedRequestsAreRejectedNotFatal) {
   ServiceOptions options;
