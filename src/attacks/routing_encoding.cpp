@@ -276,7 +276,12 @@ std::vector<Var> encode_onehot_copy(
     const Var y = node_var[id];
     for (std::size_t i = 0; i < n_in; ++i) {
       const Var sel = keys.selectors[c][o * n_in + i];
-      const Var in = node_var[component.inputs[i]];
+      // The one-hot layer lets any output select any input, including an
+      // input the topological walk has not reached yet (in a chained
+      // network it can depend on another output). Create its variable
+      // now; its gate is encoded when the walk reaches it.
+      Var& in = node_var[component.inputs[i]];
+      if (in == sat::kNoVar) in = solver.new_var();
       solver.add_clause(
           {Lit::make(sel, true), Lit::make(in, true), Lit::make(y)});
       solver.add_clause(

@@ -1,5 +1,12 @@
 #include "attacks/sat_attack.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
+#include <filesystem>
+#include <optional>
+
 #include "attacks/engine/dip_encoder.hpp"
 #include "attacks/engine/miter_context.hpp"
 #include "sat/drat_check.hpp"
@@ -21,6 +28,40 @@ std::string to_string(ProofStatus status) {
   }
   return "?";
 }
+
+namespace {
+
+/// Where a certified attack publishes its miter certificate: the caller's
+/// proof_file, or else a private temp file that is removed once checked.
+/// Temp names are unique per process and call, so concurrent certified
+/// attacks (campaign cells, service workers) never share one.
+class CertificatePath {
+ public:
+  explicit CertificatePath(const std::string& proof_file)
+      : path_(proof_file.empty() ? unique_temp_path() : proof_file),
+        temporary_(proof_file.empty()) {}
+  ~CertificatePath() {
+    if (temporary_) std::remove(path_.c_str());
+  }
+  CertificatePath(const CertificatePath&) = delete;
+  CertificatePath& operator=(const CertificatePath&) = delete;
+
+  const std::string& path() const { return path_; }
+  bool temporary() const { return temporary_; }
+
+ private:
+  static std::string unique_temp_path() {
+    static std::atomic<std::uint64_t> counter{0};
+    const std::string name = "ril-certificate-" + std::to_string(::getpid()) +
+                             "-" + std::to_string(counter++) + ".drat";
+    return (std::filesystem::temp_directory_path() / name).string();
+  }
+
+  std::string path_;
+  bool temporary_;
+};
+
+}  // namespace
 
 std::string to_string(SatAttackStatus status) {
   switch (status) {
@@ -46,7 +87,6 @@ SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
       options.preprocess ||
       (options.preprocess_auto &&
        locked.gate_count() >= options.preprocess_auto_min_gates);
-  const bool stream_proof = options.certify && !options.proof_file.empty();
 
   // Miter portfolio: shared X, independent K1 / K2 in every member.
   SolverPortfolio miter(options.jobs, options.portfolio_seed);
@@ -55,13 +95,35 @@ SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
   // member's trace carries the full axiom stream. Only the miter verdict
   // is certified -- the UNSAT that terminates the DIP loop is the claim
   // the paper's iteration counts rest on.
+  std::optional<CertificatePath> certificate;
   if (options.certify) {
-    if (stream_proof) {
-      miter.enable_proof_files(options.proof_file);
-    } else {
-      miter.enable_proof();
-    }
+    certificate.emplace(options.proof_file);
+    miter.enable_proof(certificate->path());
   }
+  // Publishes the winning member's trace and validates it with the
+  // independent streaming checker, re-reading it from disk: as a
+  // refutation after miter-UNSAT, as an open certificate (every step
+  // checks, no empty clause) when the attack stopped first.
+  const auto publish_and_check = [&](bool refutation) {
+    const sat::FileProofTracer* trace = miter.winner_trace();
+    if (trace == nullptr || (refutation && !trace->closed())) {
+      result.proof_status = ProofStatus::kMissing;
+      return;
+    }
+    const std::string& path = certificate->path();
+    result.proof_steps = trace->steps();
+    const std::uint64_t bytes = miter.promote_winner_trace(path);
+    const sat::DratCheckResult check =
+        refutation ? sat::check_refutation_file(path)
+                   : sat::check_derivations_file(path);
+    result.proof_status = !check.valid  ? ProofStatus::kInvalid
+                          : refutation ? ProofStatus::kValid
+                                       : ProofStatus::kOpen;
+    if (!certificate->temporary()) {
+      result.proof_path = path;
+      result.proof_bytes = bytes;
+    }
+  };
   if (preprocess) miter.enable_preprocessing();
   if (options.inprocess) miter.enable_inprocessing();
   const engine::MiterContext ctx = [&]() -> engine::MiterContext {
@@ -112,39 +174,9 @@ SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
       break;
     }
     if (r == sat::Result::kUnsat) {
-      if (options.certify) {
-        // The winner's trace is the certificate; validate it with the
-        // independent checker before trusting the verdict.
-        if (stream_proof) {
-          const sat::FileProofTracer* trace = miter.winner_file_trace();
-          if (trace != nullptr && trace->closed()) {
-            result.proof_steps = trace->steps();
-            result.proof_bytes =
-                miter.promote_winner_trace(options.proof_file);
-            result.proof_path = options.proof_file;
-            // Single streaming pass over the published file -- the
-            // certificate is re-read from disk, never rebuilt in memory.
-            result.proof_status =
-                sat::check_refutation_file(options.proof_file).valid
-                    ? ProofStatus::kValid
-                    : ProofStatus::kInvalid;
-          } else {
-            result.proof_status = ProofStatus::kMissing;
-          }
-        } else {
-          const sat::DratTrace* trace = miter.winner_trace();
-          if (trace != nullptr && trace->closed()) {
-            auto certificate = std::make_shared<sat::DratTrace>(*trace);
-            result.proof_steps = certificate->size();
-            result.proof_status = sat::check_refutation(*certificate).valid
-                                      ? ProofStatus::kValid
-                                      : ProofStatus::kInvalid;
-            result.proof_trace = std::move(certificate);
-          } else {
-            result.proof_status = ProofStatus::kMissing;
-          }
-        }
-      }
+      // The winner's trace is the certificate; validate it before
+      // trusting the verdict.
+      if (options.certify) publish_and_check(/*refutation=*/true);
       // No DIP remains: extract any consistent key.
       if (budget.limited() || budget.cancelled()) {
         if (budget.expired()) {
@@ -213,25 +245,19 @@ SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
 
   if (options.certify &&
       result.proof_status == ProofStatus::kNotRequested) {
-    // The attack stopped before miter-UNSAT (timeout, iteration cap). In
-    // streaming mode the winner's partial trace is still worth publishing:
-    // every derivation in it RUP-checks against the logged axioms, so it
-    // is an *open* certificate of the work done so far -- exactly what
+    // The attack stopped before miter-UNSAT (timeout, iteration cap). A
+    // caller-named certificate is still worth publishing: every
+    // derivation in it RUP-checks against the logged axioms, so it is an
+    // *open* certificate of the work done so far -- exactly what
     // `ril check-proof --open` accepts. On 200k+-gate hosts the final
     // whole-miter refutation is beyond the CDCL core, so this is the
-    // certificate such runs actually produce (see docs/SCALING.md).
-    const sat::FileProofTracer* trace =
-        stream_proof ? miter.winner_file_trace() : nullptr;
-    if (trace != nullptr) {
-      result.proof_steps = trace->steps();
-      result.proof_bytes = miter.promote_winner_trace(options.proof_file);
-      result.proof_path = options.proof_file;
-      result.proof_status =
-          sat::check_derivations_file(options.proof_file).valid
-              ? ProofStatus::kOpen
-              : ProofStatus::kInvalid;
+    // certificate such runs actually produce (see docs/SCALING.md). A
+    // private temp certificate would be checked only to be discarded, so
+    // that run reports kMissing and its member temps are dropped.
+    if (certificate->temporary()) {
+      result.proof_status = ProofStatus::kMissing;
     } else {
-      result.proof_status = ProofStatus::kMissing;  // no trace to publish
+      publish_and_check(/*refutation=*/false);
     }
   }
   result.seconds = budget.elapsed();

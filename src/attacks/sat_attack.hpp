@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,26 +52,26 @@ struct SatAttackOptions {
   /// Optional caller-owned cancellation flag: raise it from any thread to
   /// unwind the attack cooperatively (reported as kTimeout).
   const std::atomic<bool>* cancel = nullptr;
-  /// Certify the verdict: log a DRAT trace in every miter-portfolio
-  /// member, self-check each SAT model, and on miter-UNSAT validate the
-  /// winner's trace with the independent RUP checker. The certificate is
-  /// returned in SatAttackResult::proof_trace (or streamed to disk when
-  /// proof_file is set). Off by default; the search itself is
-  /// bit-identical either way.
+  /// Certify the verdict: every miter-portfolio member streams a binary
+  /// DRAT trace to disk (sat::FileProofTracer temps next to the
+  /// certificate path), each SAT model is self-checked, and on miter-UNSAT
+  /// the winner's trace is published and validated with the independent
+  /// streaming checker (sat::check_refutation_file). The proof never lives
+  /// in RAM, which is what keeps certified attacks on 100k+-gate hosts
+  /// inside the encoder's memory envelope. Off by default; the search
+  /// itself is bit-identical either way.
   bool certify = false;
-  /// With certify: stream every member's trace to disk instead of
-  /// buffering it (sat::FileProofTracer under `proof_file + ".m<i>"`
-  /// temps). On miter-UNSAT the winner's trace is atomically published as
-  /// `proof_file`, validated with the streaming checker, and
-  /// SatAttackResult::{proof_path, proof_bytes} are filled;
-  /// proof_trace stays null. If the attack stops before miter-UNSAT
-  /// (timeout, iteration cap), the winner's trace is still published as
-  /// an *open* certificate -- every step RUP-checks against the axioms
-  /// but no empty clause lands -- validated with
+  /// With certify: where the certificate is published. Set, the winner's
+  /// trace is atomically published as `proof_file` and
+  /// SatAttackResult::{proof_path, proof_bytes} are filled; if the attack
+  /// stops before miter-UNSAT (timeout, iteration cap), the trace is still
+  /// published as an *open* certificate -- every step RUP-checks against
+  /// the axioms but no empty clause lands -- validated with
   /// sat::check_derivations_file and reported as ProofStatus::kOpen.
-  /// This is what keeps certified attacks on 100k+-gate hosts inside the
-  /// encoder's memory envelope -- the proof never lives in RAM. Empty
-  /// (the default) keeps the in-memory path.
+  /// Empty (the default), the certificate goes to a private, uniquely
+  /// named file under std::filesystem::temp_directory_path() that is
+  /// removed once checked; proof_path stays empty, and a run that stops
+  /// before miter-UNSAT reports ProofStatus::kMissing.
   std::string proof_file;
   /// SatELite-style preprocessing (subsumption, self-subsuming resolution,
   /// bounded variable elimination) of the miter and key-determination
@@ -116,12 +115,14 @@ struct SatAttackOptions {
 /// Certification verdict for a whole attack run.
 enum class ProofStatus {
   kNotRequested,  ///< options.certify was false
-  kValid,         ///< UNSAT trace validated by sat::check_refutation
-  kOpen,          ///< streamed open certificate: every step checks, but the
-                  ///< attack stopped before miter-UNSAT so there is no
+  kValid,         ///< UNSAT trace validated by sat::check_refutation_file
+  kOpen,          ///< published open certificate: every step checks, but
+                  ///< the attack stopped before miter-UNSAT so there is no
                   ///< refutation (validated by sat::check_derivations_file)
-  kInvalid,       ///< trace rejected (solver unsoundness!)
+  kInvalid,       ///< trace rejected (solver unsoundness or a corrupted
+                  ///< certificate file)
   kMissing,       ///< certify requested but no closed UNSAT trace exists
+                  ///< (and no proof_file to publish an open one to)
 };
 
 std::string to_string(ProofStatus status);
@@ -156,13 +157,8 @@ struct SatAttackResult {
   /// Steps in the final miter certificate (originals + derivations +
   /// deletions), 0 unless a certificate was produced.
   std::uint64_t proof_steps = 0;
-  /// The winning miter member's DRAT trace; ends with the empty clause
-  /// when the miter went UNSAT. Null unless options.certify, and null in
-  /// streaming mode (options.proof_file), where the certificate lives on
-  /// disk at proof_path instead.
-  std::shared_ptr<const sat::DratTrace> proof_trace;
-  /// Published on-disk certificate (streaming mode only): final path and
-  /// size in bytes. Empty/0 when no certificate was published.
+  /// Published on-disk certificate (options.proof_file set): final path
+  /// and size in bytes. Empty/0 when no certificate was published.
   std::string proof_path;
   std::uint64_t proof_bytes = 0;
   /// False iff some SAT model failed the replay self-check (unsound SAT).

@@ -5,10 +5,10 @@ namespace ril::device {
 ProcessVariation sample_variation(const VariationSpec& spec,
                                   const CmosParams& cmos,
                                   std::mt19937_64& rng) {
-  std::normal_distribution<double> mtj(0.0, spec.mtj_dim_sigma);
-  std::normal_distribution<double> vth(0.0, spec.vth_sigma);
-  std::normal_distribution<double> wl(0.0, spec.wl_sigma);
-  std::normal_distribution<double> offset(0.0, cmos.sense_offset_sigma);
+  ZeroMeanNormal mtj(spec.mtj_dim_sigma);
+  ZeroMeanNormal vth(spec.vth_sigma);
+  ZeroMeanNormal wl(spec.wl_sigma);
+  ZeroMeanNormal offset(cmos.sense_offset_sigma);
   ProcessVariation v;
   v.mtj_dim_delta = mtj(rng);
   v.vth_delta = vth(rng);

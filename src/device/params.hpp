@@ -13,6 +13,22 @@
 
 namespace ril::device {
 
+/// Normal(0, sigma) sampler that also accepts sigma == 0, which
+/// std::normal_distribution rejects (a zero-variation or noise-free model
+/// must draw exact zeros). It scales a unit draw by sigma: libstdc++
+/// computes z * stddev + mean from the same unit draw, so for sigma > 0 the
+/// values and the RNG state consumed are identical to
+/// std::normal_distribution<double>(0, sigma).
+class ZeroMeanNormal {
+ public:
+  explicit ZeroMeanNormal(double sigma) : sigma_(sigma) {}
+  double operator()(std::mt19937_64& rng) { return unit_(rng) * sigma_; }
+
+ private:
+  double sigma_;
+  std::normal_distribution<double> unit_;
+};
+
 struct MtjParams {
   double r_p = 3.0e3;        ///< parallel-state resistance [ohm]
   double tmr = 1.0;          ///< R_ap = r_p * (1 + tmr)

@@ -23,9 +23,8 @@
 //    resolvents (~probe \/ implied), added as glue binaries.
 //
 // Every transformation is RUP at its position in the proof stream, so
-// with a ProofTracer attached the emitted derive/erase steps keep the
-// trace DRAT-valid end to end (sat/drat_check.hpp accepts it, buffered
-// or file-backed alike): a strengthened clause is derived *before* its
+// with a FileProofTracer attached the emitted derive/erase steps keep the
+// trace DRAT-valid end to end (sat/drat_check.hpp accepts it): a strengthened clause is derived *before* its
 // parent is erased, root units are derived before they propagate, and a
 // hyper-binary follows from its probe's propagation, which the checker
 // replays against a superset of the clauses the solver used.

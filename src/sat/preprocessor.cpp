@@ -74,7 +74,14 @@ void Preprocessor::freeze(const std::vector<Var>& vars) {
 
 void Preprocessor::set_contradiction() {
   contradiction_ = true;
-  if (proof_enabled_ && !trace_.closed()) trace_.derive({});
+  if (!proof_closed_) log_step(ProofStepKind::kDerive, {});
+}
+
+void Preprocessor::log_step(ProofStepKind kind, const Clause& lits) {
+  if (!proof_enabled_) return;
+  proof_closed_ =
+      proof_closed_ || (kind == ProofStepKind::kDerive && lits.empty());
+  proof_steps_.push_back({kind, lits});
 }
 
 bool Preprocessor::add_clause(Clause lits) {
@@ -172,7 +179,7 @@ bool Preprocessor::process_subsumption(std::size_t idx) {
       if (d.deleted || d.lits.size() < c.size()) continue;
       if ((c_sig & ~d.sig) != 0) continue;
       if (!subset_except(c, d.lits, kLitUndef)) continue;
-      if (proof_enabled_) trace_.erase(d.lits);
+      log_step(ProofStepKind::kErase, d.lits);
       delete_entry(d_idx);
       ++stats_.subsumed_clauses;
       changed = true;
@@ -199,10 +206,8 @@ bool Preprocessor::process_subsumption(std::size_t idx) {
         for (const Lit dl : d.lits) {
           if (dl != ~l) strengthened.push_back(dl);
         }
-        if (proof_enabled_) {
-          trace_.derive(strengthened);
-          trace_.erase(d.lits);
-        }
+        log_step(ProofStepKind::kDerive, strengthened);
+        log_step(ProofStepKind::kErase, d.lits);
         delete_entry(d_idx);
         ++stats_.strengthened_literals;
         changed = true;
@@ -280,20 +285,18 @@ bool Preprocessor::try_eliminate(Var v) {
 
   // Commit. Additions go into the proof before the parent deletions so
   // each resolvent is RUP while both parents are still live.
-  if (proof_enabled_) {
-    for (const Clause& r : resolvents) trace_.derive(r);
-  }
+  for (const Clause& r : resolvents) log_step(ProofStepKind::kDerive, r);
   ElimRecord record;
   record.var = v;
   record.clauses.reserve(pos.size() + neg.size());
   for (const std::size_t p : pos) record.clauses.push_back(entries_[p].lits);
   for (const std::size_t n : neg) record.clauses.push_back(entries_[n].lits);
   for (const std::size_t p : pos) {
-    if (proof_enabled_) trace_.erase(entries_[p].lits);
+    log_step(ProofStepKind::kErase, entries_[p].lits);
     delete_entry(p);
   }
   for (const std::size_t n : neg) {
-    if (proof_enabled_) trace_.erase(entries_[n].lits);
+    log_step(ProofStepKind::kErase, entries_[n].lits);
     delete_entry(n);
   }
   elim_stack_.push_back(std::move(record));
@@ -363,7 +366,7 @@ void Preprocessor::run() {
   }
   stats_.tuned_occurrence_limit = occ_limit_;
 
-  if (contradiction_ && proof_enabled_ && !trace_.closed()) trace_.derive({});
+  if (contradiction_ && !proof_closed_) log_step(ProofStepKind::kDerive, {});
   stats_.vars_after = stats_.vars_before - stats_.eliminated_vars;
   for (const Entry& e : entries_) {
     if (e.deleted) continue;

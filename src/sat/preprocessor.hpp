@@ -30,8 +30,8 @@
 // same way from its self-subsumption partner -- and deletions are emitted
 // only after the additions that supersede them, so a forward checker
 // (sat/drat_check.hpp) accepts the stream. The portfolio replays
-// originals() then trace() into each member's DratTrace before feeding the
-// simplified clauses with proof logging detached, keeping the trace's
+// originals() then proof_steps() into each member's tracer before feeding
+// the simplified clauses with proof logging detached, keeping the trace's
 // axiom ('o') set exactly the original formula.
 #pragma once
 
@@ -129,7 +129,7 @@ class Preprocessor {
   /// DRAT steps recorded by run() ('a' resolvents/strengthenings before
   /// the 'd' lines of the clauses they supersede). Empty unless
   /// enable_proof() was called before run().
-  const DratTrace& trace() const { return trace_; }
+  const std::vector<ProofStep>& proof_steps() const { return proof_steps_; }
 
   /// Completes a model of the simplified formula (indexed by the
   /// preprocessor's variable numbering, kUndef allowed for eliminated
@@ -171,6 +171,8 @@ class Preprocessor {
   bool eliminate_round();
   bool try_eliminate(Var v);
   void set_contradiction();
+  /// Records one DRAT step when proof logging is on.
+  void log_step(ProofStepKind kind, const Clause& lits);
   std::size_t live_literals() const;
 
   PreprocessConfig config_;
@@ -185,8 +187,9 @@ class Preprocessor {
   std::vector<Clause> originals_;
   std::vector<std::size_t> queue_;  // entries pending subsumption checks
   std::vector<bool> queued_;
-  DratTrace trace_;
+  std::vector<ProofStep> proof_steps_;
   bool proof_enabled_ = false;
+  bool proof_closed_ = false;  ///< the empty clause has been logged
   bool contradiction_ = false;
   bool ran_ = false;
 };

@@ -4,35 +4,17 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace ril::sat {
 
 namespace {
 
-constexpr unsigned char kBinaryMagic[6] = {kBinaryTraceMagic0, 'D', 'R',
-                                           'A',               'T', 0x01};
+constexpr unsigned char kBinaryMagic[6] = {0x8F, 'D', 'R', 'A', 'T', 0x01};
 constexpr char kEndTag = 'e';
-
-char step_tag(ProofStepKind kind) {
-  switch (kind) {
-    case ProofStepKind::kOriginal: return 'o';
-    case ProofStepKind::kDerive: return 'a';
-    case ProofStepKind::kErase: return 'd';
-  }
-  return '?';
-}
-
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::runtime_error("proof trace line " + std::to_string(line_no) +
-                           ": " + what);
-}
 
 [[noreturn]] void sys_fail(const std::string& what, const std::string& path) {
   throw std::runtime_error(what + " " + path + ": " +
@@ -46,57 +28,6 @@ void append_varint(std::vector<char>& out, std::uint64_t value) {
   }
   out.push_back(static_cast<char>(value));
 }
-
-// Shared by FileProofTracer and write_trace_file: all bytes go to
-// `path + ".tmp"`; commit() fsyncs and renames so the final name only
-// ever holds a complete trace.
-class AtomicFile {
- public:
-  explicit AtomicFile(const std::string& final_path)
-      : temp_path_(final_path + ".tmp") {
-    fd_ = ::open(temp_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd_ < 0) sys_fail("cannot create", temp_path_);
-  }
-  ~AtomicFile() { abort_file(); }
-
-  int fd() const { return fd_; }
-  const std::string& temp_path() const { return temp_path_; }
-
-  void write(const char* data, std::size_t n) {
-    while (n > 0) {
-      const ssize_t w = ::write(fd_, data, n);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        sys_fail("write failed on", temp_path_);
-      }
-      data += w;
-      n -= static_cast<std::size_t>(w);
-    }
-  }
-
-  void commit(const std::string& final_path) {
-    if (fd_ < 0) return;
-    if (::fsync(fd_) != 0) sys_fail("fsync failed on", temp_path_);
-    if (::close(fd_) != 0) {
-      fd_ = -1;
-      sys_fail("close failed on", temp_path_);
-    }
-    fd_ = -1;
-    if (::rename(temp_path_.c_str(), final_path.c_str()) != 0)
-      sys_fail("rename failed for", final_path);
-  }
-
-  void abort_file() {
-    if (fd_ < 0) return;
-    ::close(fd_);
-    fd_ = -1;
-    ::unlink(temp_path_.c_str());
-  }
-
- private:
-  std::string temp_path_;
-  int fd_ = -1;
-};
 
 }  // namespace
 
@@ -115,17 +46,12 @@ FileProofTracer::FileProofTracer(std::string path, std::size_t buffer_bytes)
 
 FileProofTracer::~FileProofTracer() { abandon(); }
 
-void FileProofTracer::original(const Clause& lits) {
-  append_step('o', lits);
-}
-
-void FileProofTracer::derive(const Clause& lits) {
-  closed_ = closed_ || lits.empty();
-  append_step('a', lits);
-}
-
-void FileProofTracer::erase(const Clause& lits) {
-  append_step('d', lits);
+void FileProofTracer::append(const ProofStep& step) {
+  switch (step.kind) {
+    case ProofStepKind::kOriginal: original(step.lits); break;
+    case ProofStepKind::kDerive: derive(step.lits); break;
+    case ProofStepKind::kErase: erase(step.lits); break;
+  }
 }
 
 void FileProofTracer::append_step(char tag, const Clause& lits) {
@@ -185,172 +111,37 @@ void FileProofTracer::abandon() {
   ::unlink(temp_path_.c_str());
 }
 
-// --- text serialization ----------------------------------------------------
-
-void write_trace(std::ostream& out, const DratTrace& trace) {
-  for (const ProofStep& step : trace.steps()) {
-    out << step_tag(step.kind);
-    for (Lit l : step.lits) {
-      const long long dimacs =
-          (l.sign() ? -1ll : 1ll) * (static_cast<long long>(l.var()) + 1);
-      out << ' ' << dimacs;
-    }
-    out << " 0\n";
-  }
-}
-
-std::string write_trace_string(const DratTrace& trace) {
-  std::ostringstream out;
-  write_trace(out, trace);
-  return out.str();
-}
-
-void write_trace_file(const std::string& path, const DratTrace& trace) {
-  std::ostringstream body;
-  write_trace(body, trace);
-  body << "c end " << trace.size() << "\n";
-  const std::string text = body.str();
-  AtomicFile file(path);
-  file.write(text.data(), text.size());
-  file.commit(path);
-}
-
-namespace {
-
-// One parsed text line. kEnd carries the declared step count.
-enum class TextLine { kBlank, kComment, kEnd, kStep };
-
-TextLine parse_text_line(const std::string& line, std::size_t line_no,
-                         ProofStep& step, std::uint64_t& end_count) {
-  std::istringstream fields(line);
-  std::string tag;
-  if (!(fields >> tag)) return TextLine::kBlank;
-  if (tag == "c") {
-    std::string word;
-    if (fields >> word && word == "end") {
-      if (!(fields >> end_count))
-        fail(line_no, "malformed end marker (missing step count)");
-      std::string trailing;
-      if (fields >> trailing) fail(line_no, "junk after end marker");
-      return TextLine::kEnd;
-    }
-    return TextLine::kComment;
-  }
-  if (tag == "o") {
-    step.kind = ProofStepKind::kOriginal;
-  } else if (tag == "a") {
-    step.kind = ProofStepKind::kDerive;
-  } else if (tag == "d") {
-    step.kind = ProofStepKind::kErase;
-  } else {
-    fail(line_no, "unknown step tag '" + tag + "'");
-  }
-  step.lits.clear();
-  long long dimacs = 0;
-  bool terminated = false;
-  while (fields >> dimacs) {
-    if (dimacs == 0) {
-      terminated = true;
-      break;
-    }
-    const long long magnitude = dimacs < 0 ? -dimacs : dimacs;
-    if (magnitude > 0x3fffffff) fail(line_no, "literal out of range");
-    step.lits.push_back(
-        Lit::make(static_cast<Var>(magnitude - 1), dimacs < 0));
-  }
-  if (!terminated) fail(line_no, "missing 0 terminator");
-  std::string trailing;
-  if (fields >> trailing) fail(line_no, "junk after 0 terminator");
-  return TextLine::kStep;
-}
-
-}  // namespace
-
-DratTrace read_trace(std::istream& in) {
-  DratTrace trace;
-  std::string line;
-  std::size_t line_no = 0;
-  bool end_seen = false;
-  std::uint64_t end_count = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    ProofStep step;
-    switch (parse_text_line(line, line_no, step, end_count)) {
-      case TextLine::kBlank:
-      case TextLine::kComment:
-        continue;
-      case TextLine::kEnd:
-        if (end_seen) fail(line_no, "duplicate end marker");
-        end_seen = true;
-        continue;
-      case TextLine::kStep:
-        if (end_seen) fail(line_no, "step after end marker");
-        switch (step.kind) {
-          case ProofStepKind::kOriginal: trace.original(step.lits); break;
-          case ProofStepKind::kDerive: trace.derive(step.lits); break;
-          case ProofStepKind::kErase: trace.erase(step.lits); break;
-        }
-        continue;
-    }
-  }
-  if (end_seen && end_count != trace.size())
-    fail(line_no, "end marker declares " + std::to_string(end_count) +
-                      " steps but trace has " + std::to_string(trace.size()));
-  return trace;
-}
-
-DratTrace read_trace_string(const std::string& text) {
-  std::istringstream in(text);
-  return read_trace(in);
-}
-
-DratTrace read_trace_file(const std::string& path) {
-  TraceReader reader(path);
-  DratTrace trace;
-  ProofStep step;
-  while (reader.next(step)) {
-    switch (step.kind) {
-      case ProofStepKind::kOriginal: trace.original(step.lits); break;
-      case ProofStepKind::kDerive: trace.derive(step.lits); break;
-      case ProofStepKind::kErase: trace.erase(step.lits); break;
-    }
-  }
-  return trace;
-}
-
 // --- TraceReader -----------------------------------------------------------
 
 TraceReader::TraceReader(const std::string& path)
     : path_(path),
       in_(std::make_unique<std::ifstream>(path, std::ios::binary)) {
   if (!*in_) sys_fail("cannot open", path_);
-  const int first = in_->peek();
-  if (first == std::char_traits<char>::eof()) {
+  if (in_->peek() == std::char_traits<char>::eof()) {
     done_ = true;  // zero-byte file: clean empty trace
     return;
   }
-  binary_ = static_cast<unsigned char>(first) == kBinaryTraceMagic0;
-  if (binary_) {
-    buf_.resize(1 << 16);
-    char magic[sizeof(kBinaryMagic)];
-    in_->read(magic, sizeof(magic));
-    if (in_->gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
-        std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0)
-      throw std::runtime_error("proof trace " + path_ +
-                               ": bad binary magic header");
-    byte_offset_ = sizeof(kBinaryMagic);
-  }
+  // Variables are numbered densely and every one a certificate uses
+  // appears in some step, so no genuine literal names a variable at or
+  // above the file's byte count. Rejecting such literals bounds the
+  // checker's per-variable memory by the certificate's size.
+  std::error_code size_error;
+  const std::uintmax_t size = std::filesystem::file_size(path_, size_error);
+  if (!size_error && size < max_lit_code_ / 2) max_lit_code_ = 2 * size + 1;
+  buf_.resize(1 << 16);
+  char magic[sizeof(kBinaryMagic)];
+  in_->read(magic, sizeof(magic));
+  if (in_->gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
+      std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0)
+    fail_at("bad binary magic header");
+  byte_offset_ = sizeof(kBinaryMagic);
 }
 
 TraceReader::~TraceReader() = default;
 
 void TraceReader::fail_at(const std::string& what) const {
-  if (binary_) {
-    throw std::runtime_error("proof trace " + path_ + " byte " +
-                             std::to_string(byte_offset_) + ": " + what);
-  }
-  throw std::runtime_error("proof trace " + path_ + " line " +
-                           std::to_string(line_no_) + ": " + what);
+  throw std::runtime_error("proof trace " + path_ + " byte " +
+                           std::to_string(byte_offset_) + ": " + what);
 }
 
 bool TraceReader::refill() {
@@ -361,42 +152,39 @@ bool TraceReader::refill() {
   return buf_len_ > 0;
 }
 
-bool TraceReader::next(ProofStep& step) {
-  if (done_) return false;
-  return binary_ ? next_binary(step) : next_text(step);
+bool TraceReader::read_byte(int& out) {
+  if (!refill()) return false;
+  out = static_cast<unsigned char>(buf_[buf_pos_++]);
+  ++byte_offset_;
+  return true;
 }
 
-bool TraceReader::next_binary(ProofStep& step) {
-  const auto read_byte = [&](int& out) -> bool {
-    if (!refill()) return false;
-    out = static_cast<unsigned char>(buf_[buf_pos_++]);
-    ++byte_offset_;
-    return true;
-  };
-  const auto read_varint = [&](std::uint64_t& value) {
-    value = 0;
-    int shift = 0;
-    for (;;) {
-      int b = 0;
-      if (!read_byte(b)) fail_at("truncated varint");
-      value |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return;
-      shift += 7;
-      if (shift > 63) fail_at("varint overflow");
-    }
-  };
+void TraceReader::read_varint(std::uint64_t& value) {
+  value = 0;
+  int shift = 0;
+  for (;;) {
+    int b = 0;
+    if (!read_byte(b)) fail_at("truncated varint");
+    value |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return;
+    shift += 7;
+    if (shift > 63) fail_at("varint overflow");
+  }
+}
 
+bool TraceReader::next(ProofStep& step) {
+  if (done_) return false;
   int tag = 0;
   if (!read_byte(tag))
     fail_at("truncated trace (missing end marker)");
   if (tag == kEndTag) {
-    read_varint(expected_steps_);
-    if (expected_steps_ != steps_read_)
-      fail_at("end marker declares " + std::to_string(expected_steps_) +
+    std::uint64_t expected_steps = 0;
+    read_varint(expected_steps);
+    if (expected_steps != steps_read_)
+      fail_at("end marker declares " + std::to_string(expected_steps) +
               " steps but trace has " + std::to_string(steps_read_));
     int extra = 0;
     if (read_byte(extra)) fail_at("trailing bytes after end marker");
-    end_marker_seen_ = true;
     done_ = true;
     return false;
   }
@@ -412,53 +200,13 @@ bool TraceReader::next_binary(ProofStep& step) {
     std::uint64_t value = 0;
     read_varint(value);
     if (value == 0) break;
-    if (value < 2 || value - 2 > 0x7fffffffull)
+    if (value < 2 || value - 2 > max_lit_code_)
       fail_at("literal code out of range");
     step.lits.push_back(
         lit_from_code(static_cast<std::int32_t>(value - 2)));
   }
   ++steps_read_;
   return true;
-}
-
-bool TraceReader::next_text(ProofStep& step) {
-  const auto parse = [&](const std::string& line, ProofStep& out,
-                         std::uint64_t& end_count) {
-    try {
-      return parse_text_line(line, line_no_, out, end_count);
-    } catch (const std::runtime_error& e) {
-      throw std::runtime_error(path_ + ": " + e.what());
-    }
-  };
-  std::string line;
-  while (std::getline(*in_, line)) {
-    ++line_no_;
-    std::uint64_t end_count = 0;
-    switch (parse(line, step, end_count)) {
-      case TextLine::kBlank:
-      case TextLine::kComment:
-        continue;
-      case TextLine::kEnd: {
-        if (end_count != steps_read_)
-          fail_at("end marker declares " + std::to_string(end_count) +
-                  " steps but trace has " + std::to_string(steps_read_));
-        while (std::getline(*in_, line)) {
-          ++line_no_;
-          ProofStep extra;
-          std::uint64_t extra_count = 0;
-          if (parse(line, extra, extra_count) != TextLine::kBlank)
-            fail_at("content after end marker");
-        }
-        end_marker_seen_ = true;
-        done_ = true;
-        return false;
-      }
-      case TextLine::kStep:
-        ++steps_read_;
-        return true;
-    }
-  }
-  fail_at("truncated trace (missing end marker)");
 }
 
 }  // namespace ril::sat

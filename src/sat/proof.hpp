@@ -1,6 +1,6 @@
 // DRAT-style proof logging for the CDCL solver.
 //
-// A ProofTracer is an optional sink the Solver writes clause events into:
+// A FileProofTracer is the sink the Solver writes clause events into:
 //  * original(c)  -- a problem clause as handed to add_clause (an axiom);
 //  * derive(c)    -- a clause the solver claims is implied by everything
 //                    logged before it (learned clauses, root-simplified
@@ -17,15 +17,14 @@
 // whose last derivation is the empty clause is a closed refutation: a
 // machine-checkable certificate that the logged axioms are UNSAT.
 //
-// Two sinks are provided: DratTrace buffers the stream in memory (small
-// formulas, tests), and FileProofTracer streams it to disk in a compact
-// binary encoding with bounded buffering, so certified solves on
-// million-gate miters never hold the proof in RAM. TraceReader replays
-// either on-disk format (binary or text) step by step, which is what the
-// streaming checker in drat_check.hpp consumes.
+// The tracer streams the events to disk in the compact binary encoding
+// below with bounded buffering, so certified solves on million-gate
+// miters never hold the proof in RAM. TraceReader replays a published
+// certificate step by step, which is what the streaming checker in
+// drat_check.hpp consumes.
 //
-// The solver holds a plain `ProofTracer*` that is nullptr by default; all
-// emission sites are off the propagation hot path, so disabled tracing
+// The solver holds a plain `FileProofTracer*` that is nullptr by default;
+// all emission sites are off the propagation hot path, so disabled tracing
 // costs nothing (see docs/ARCHITECTURE.md, "Certified verdicts").
 #pragma once
 
@@ -40,54 +39,15 @@
 
 namespace ril::sat {
 
-/// Abstract clause-event sink the Solver emits into.
-class ProofTracer {
- public:
-  virtual ~ProofTracer() = default;
-  virtual void original(const Clause& lits) = 0;
-  virtual void derive(const Clause& lits) = 0;
-  virtual void erase(const Clause& lits) = 0;
-};
-
 enum class ProofStepKind : std::uint8_t {
-  kOriginal,  ///< axiom ('o' line)
-  kDerive,    ///< claimed-RUP addition ('a' line)
-  kErase,     ///< deletion ('d' line)
+  kOriginal,  ///< axiom ('o' record)
+  kDerive,    ///< claimed-RUP addition ('a' record)
+  kErase,     ///< deletion ('d' record)
 };
 
 struct ProofStep {
   ProofStepKind kind;
   Clause lits;
-};
-
-/// In-memory proof trace: records the event stream verbatim.
-class DratTrace final : public ProofTracer {
- public:
-  void original(const Clause& lits) override {
-    steps_.push_back({ProofStepKind::kOriginal, lits});
-  }
-  void derive(const Clause& lits) override {
-    closed_ = closed_ || lits.empty();
-    steps_.push_back({ProofStepKind::kDerive, lits});
-  }
-  void erase(const Clause& lits) override {
-    steps_.push_back({ProofStepKind::kErase, lits});
-  }
-
-  const std::vector<ProofStep>& steps() const { return steps_; }
-  std::size_t size() const { return steps_.size(); }
-  bool empty() const { return steps_.empty(); }
-  /// True once the empty clause has been derived: the trace is a complete
-  /// refutation candidate (checkable end-to-end by drat_check).
-  bool closed() const { return closed_; }
-  void clear() {
-    steps_.clear();
-    closed_ = false;
-  }
-
- private:
-  std::vector<ProofStep> steps_;
-  bool closed_ = false;
 };
 
 /// Disk-backed proof sink: appends steps to `path() + ".tmp"` in the
@@ -99,20 +59,25 @@ class DratTrace final : public ProofTracer {
 /// renames elsewhere -- how a portfolio promotes its winning member's
 /// trace). A tracer destroyed without finalize() unlinks its temp, so a
 /// killed process never leaves a partial trace under the published name.
-class FileProofTracer final : public ProofTracer {
+class FileProofTracer {
  public:
   /// Opens `path + ".tmp"` for writing (truncating any stale temp).
   /// Throws std::runtime_error if the temp cannot be created.
   explicit FileProofTracer(std::string path,
                            std::size_t buffer_bytes = 1 << 20);
-  ~FileProofTracer() override;
+  ~FileProofTracer();
 
   FileProofTracer(const FileProofTracer&) = delete;
   FileProofTracer& operator=(const FileProofTracer&) = delete;
 
-  void original(const Clause& lits) override;
-  void derive(const Clause& lits) override;
-  void erase(const Clause& lits) override;
+  void original(const Clause& lits) { append_step('o', lits); }
+  void derive(const Clause& lits) {
+    closed_ = closed_ || lits.empty();
+    append_step('a', lits);
+  }
+  void erase(const Clause& lits) { append_step('d', lits); }
+  /// Appends a step recorded elsewhere (the preprocessor's replay steps).
+  void append(const ProofStep& step);
 
   std::uint64_t steps() const { return steps_; }
   /// Bytes of encoded trace so far (header + steps, buffered included).
@@ -120,7 +85,6 @@ class FileProofTracer final : public ProofTracer {
   /// True once the empty clause has been derived.
   bool closed() const { return closed_; }
   const std::string& path() const { return path_; }
-  const std::string& temp_path() const { return temp_path_; }
   bool finalized() const { return fd_ < 0 && finalized_; }
 
   /// Seals the trace (end marker), flushes, fsyncs, and atomically
@@ -147,14 +111,15 @@ class FileProofTracer final : public ProofTracer {
   bool closed_ = false;
 };
 
-/// Streaming reader over an on-disk trace, binary or text (sniffed from
-/// the leading magic byte). next() yields one step at a time in file
-/// order with O(1) memory, throwing std::runtime_error -- line-numbered
-/// for text, byte-offset for binary -- on malformed input. A non-empty
-/// file must carry its end marker ('e' record in binary, "c end <n>"
-/// comment in text); hitting EOF without one means the trace was
-/// truncated and next() throws. A zero-byte file reads as a clean empty
-/// trace (the caller decides whether "empty" is an error).
+/// Streaming reader over an on-disk binary trace. next() yields one step
+/// at a time in file order with O(1) memory, throwing std::runtime_error
+/// with the byte offset on malformed input. A non-empty file must start
+/// with the magic header and carry its 'e' end marker; hitting EOF
+/// without one means the trace was truncated and next() throws, and so
+/// does a literal whose variable index is not below the file's byte count
+/// (genuine certificates number their variables densely). A zero-byte
+/// file reads as a clean empty trace (the caller decides whether "empty"
+/// is an error).
 class TraceReader {
  public:
   /// Throws std::runtime_error if the file cannot be opened.
@@ -168,59 +133,24 @@ class TraceReader {
   /// at a well-terminated end of trace. Throws on malformed input.
   bool next(ProofStep& step);
 
-  std::uint64_t steps_read() const { return steps_read_; }
-  bool binary() const { return binary_; }
-
  private:
-  bool next_binary(ProofStep& step);
-  bool next_text(ProofStep& step);
   bool refill();
+  bool read_byte(int& out);
+  void read_varint(std::uint64_t& value);
   [[noreturn]] void fail_at(const std::string& what) const;
 
   std::string path_;
   std::unique_ptr<std::ifstream> in_;
-  bool binary_ = false;
   bool done_ = false;
   std::uint64_t steps_read_ = 0;
-  std::uint64_t expected_steps_ = 0;
-  bool end_marker_seen_ = false;
-  // Binary-mode buffered input.
+  std::uint64_t max_lit_code_ = 0x7fffffff;
   std::vector<char> buf_;
   std::size_t buf_pos_ = 0;
   std::size_t buf_len_ = 0;
   std::uint64_t byte_offset_ = 0;
-  // Text-mode state.
-  std::size_t line_no_ = 0;
 };
 
-// --- text serialization ----------------------------------------------------
-// One step per line, DIMACS literal numbering (var 0 <-> 1, negation <-> -):
-//   o <lits> 0     original clause
-//   a <lits> 0     derived (claimed-RUP) clause
-//   d <lits> 0     deletion
-// Lines starting with 'c' are comments. This is standard DRAT extended
-// with 'o' lines so an incremental trace carries its own axiom stream.
-// Files written by write_trace_file additionally end with a
-// "c end <step-count>" marker so readers can reject truncated traces.
-
-void write_trace(std::ostream& out, const DratTrace& trace);
-std::string write_trace_string(const DratTrace& trace);
-/// Writes the text form plus end marker to `path + ".tmp"`, fsyncs, and
-/// atomically renames into place -- a crash mid-write never leaves a
-/// partial file under `path`.
-void write_trace_file(const std::string& path, const DratTrace& trace);
-
-/// Parses a trace; throws std::runtime_error with a line number on
-/// malformed input. The stream readers accept traces without an end
-/// marker (in-memory strings cannot be truncated by a crash) but still
-/// validate one when present.
-DratTrace read_trace(std::istream& in);
-DratTrace read_trace_string(const std::string& text);
-/// File reader: rejects truncated traces (missing or mismatched end
-/// marker) and garbage with line-numbered errors. Reads both formats.
-DratTrace read_trace_file(const std::string& path);
-
-// --- binary serialization --------------------------------------------------
+// --- binary encoding -------------------------------------------------------
 // Layout: 6-byte magic {0x8F,'D','R','A','T',0x01}, then records:
 //   'o'|'a'|'d'  varint(lit.code+2)*  0x00        one step
 //   'e'          varint(step-count)               end marker (required)
@@ -228,8 +158,5 @@ DratTrace read_trace_file(const std::string& path);
 // Literal codes are offset by 2 so the 0x00 clause terminator can never
 // collide with an encoded literal (mirroring the binary-DRAT convention
 // of mapping DIMACS lit v to 2|v|+sign).
-
-/// First byte of the binary format; lets readers sniff binary vs text.
-inline constexpr unsigned char kBinaryTraceMagic0 = 0x8F;
 
 }  // namespace ril::sat

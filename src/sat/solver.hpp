@@ -28,7 +28,7 @@
 
 namespace ril::sat {
 
-class ProofTracer;
+class FileProofTracer;
 
 struct SolverStats {
   std::uint64_t decisions = 0;
@@ -122,8 +122,8 @@ class Solver : public ClauseSink {
   /// nullptr (the default) to disable; a null sink costs nothing -- no
   /// emission site sits on the propagation hot path, and the search
   /// itself is bit-identical with tracing on or off.
-  void set_proof(ProofTracer* proof) { proof_ = proof; }
-  ProofTracer* proof() const { return proof_; }
+  void set_proof(FileProofTracer* proof) { proof_ = proof; }
+  FileProofTracer* proof() const { return proof_; }
 
   /// Cheap post-SAT self-check: replays the last model against every
   /// stored problem clause (and the given assumptions). A sound solver
@@ -280,7 +280,7 @@ class Solver : public ClauseSink {
   std::uint64_t time_check_countdown_ = 0;
 
   std::uint64_t max_learned_ = 8192;
-  ProofTracer* proof_ = nullptr;
+  FileProofTracer* proof_ = nullptr;
 
   // --- inprocessing (sat/inprocess.hpp drives these through friendship) --
   bool ipc_is_frozen(Var v) const {

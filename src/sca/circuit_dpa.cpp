@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "device/mram_lut.hpp"
+#include "device/params.hpp"
 #include "device/sram_lut.hpp"
 #include "netlist/simulator.hpp"
 
@@ -63,7 +64,7 @@ CircuitTraceSet generate_circuit_traces(
     throw std::invalid_argument("generate_circuit_traces: key mismatch");
   }
   std::mt19937_64 rng(options.seed);
-  std::normal_distribution<double> noise(0.0, options.noise_sigma);
+  device::ZeroMeanNormal noise(options.noise_sigma);
 
   // True config of each LUT (mask order) from the programmed key.
   std::vector<int> key_position(locked.node_count(), -1);

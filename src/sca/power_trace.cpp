@@ -1,13 +1,14 @@
 #include "sca/power_trace.hpp"
 
 #include "device/mram_lut.hpp"
+#include "device/params.hpp"
 #include "device/sram_lut.hpp"
 
 namespace ril::sca {
 
 TraceSet generate_traces(const TraceOptions& options) {
   std::mt19937_64 rng(options.seed);
-  std::normal_distribution<double> noise(0.0, options.noise_sigma);
+  device::ZeroMeanNormal noise(options.noise_sigma);
   TraceSet set;
   set.technology = options.technology;
   set.true_mask = options.mask & 0xF;

@@ -13,6 +13,7 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/simplify.hpp"
 #include "netlist/simulator.hpp"
+#include "proof_test_util.hpp"
 #include "runtime/portfolio.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/proof.hpp"
@@ -187,8 +188,8 @@ TEST_P(SolverFuzz, IncrementalVerdictsAreCertified) {
   for (int round = 0; round < 12; ++round) {
     const RandomCnf cnf = make_random_cnf(rng, 13);
     sat::Solver solver;
-    sat::DratTrace trace;
-    solver.set_proof(&trace);
+    sat::proof_test::Certificate cert("incremental.drat");
+    solver.set_proof(&cert.tracer());
     for (int v = 0; v < cnf.num_vars; ++v) solver.new_var();
 
     // Feed the formula in 1..3 batches with a solve between batches, under
@@ -232,8 +233,8 @@ TEST_P(SolverFuzz, IncrementalVerdictsAreCertified) {
         dead ? sat::Result::kUnsat : solver.solve();
     ASSERT_EQ(final_r == sat::Result::kSat, brute_force_sat(so_far, {}));
     if (final_r == sat::Result::kUnsat) {
-      ASSERT_TRUE(trace.closed());
-      const auto check = sat::check_refutation(trace);
+      ASSERT_TRUE(cert.tracer().closed());
+      const auto check = cert.refutation();
       ASSERT_TRUE(check.valid)
           << "seed " << GetParam() << " round " << round << ": "
           << check.error;
@@ -248,8 +249,8 @@ TEST_P(SolverFuzz, ConflictLimitsDoNotCorruptLaterVerdicts) {
   for (int round = 0; round < 8; ++round) {
     const RandomCnf cnf = make_random_cnf(rng, 14);
     sat::Solver solver;
-    sat::DratTrace trace;
-    solver.set_proof(&trace);
+    sat::proof_test::Certificate cert("limits.drat");
+    solver.set_proof(&cert.tracer());
     for (int v = 0; v < cnf.num_vars; ++v) solver.new_var();
     bool dead = false;
     for (const auto& clause : cnf.clauses) {
@@ -266,8 +267,8 @@ TEST_P(SolverFuzz, ConflictLimitsDoNotCorruptLaterVerdicts) {
     ASSERT_EQ(r == sat::Result::kSat, brute_force_sat(cnf, {}))
         << "seed " << GetParam() << " round " << round;
     if (r == sat::Result::kUnsat) {
-      ASSERT_TRUE(trace.closed());
-      ASSERT_TRUE(sat::check_refutation(trace).valid)
+      ASSERT_TRUE(cert.tracer().closed());
+      ASSERT_TRUE(cert.refutation().valid)
           << "seed " << GetParam() << " round " << round;
     } else {
       ASSERT_TRUE(solver.verify_model());
@@ -279,8 +280,9 @@ TEST_P(SolverFuzz, PortfolioVerdictsMatchBruteForceAndCertify) {
   std::mt19937_64 rng(GetParam() * 0x2545f491ull + 7);
   for (int round = 0; round < 6; ++round) {
     const RandomCnf cnf = make_random_cnf(rng, 12);
+    const sat::proof_test::ScratchPath path("portfolio.drat");
     runtime::SolverPortfolio portfolio(1 + rng() % 3, GetParam() + round);
-    portfolio.enable_proof();
+    portfolio.enable_proof(path.str());
     for (int v = 0; v < cnf.num_vars; ++v) portfolio.new_var();
     bool dead = false;
     for (const auto& clause : cnf.clauses) {
@@ -290,10 +292,11 @@ TEST_P(SolverFuzz, PortfolioVerdictsMatchBruteForceAndCertify) {
     const bool expected = brute_force_sat(cnf, {});
     if (dead || outcome.result == sat::Result::kUnsat) {
       ASSERT_FALSE(expected) << "seed " << GetParam() << " round " << round;
-      const sat::DratTrace* trace = portfolio.winner_trace();
+      const sat::FileProofTracer* trace = portfolio.winner_trace();
       ASSERT_NE(trace, nullptr);
       ASSERT_TRUE(trace->closed());
-      ASSERT_TRUE(sat::check_refutation(*trace).valid)
+      portfolio.promote_winner_trace(path.str());
+      ASSERT_TRUE(sat::check_refutation_file(path.str()).valid)
           << "seed " << GetParam() << " round " << round;
     } else {
       ASSERT_EQ(outcome.result, sat::Result::kSat);
@@ -329,8 +332,8 @@ TEST_P(SolverFuzz, InprocessingKeepsIncrementalVerdictsSound) {
     const RandomCnf cnf = make_random_cnf(rng, 12);
     sat::Solver plain;
     sat::Solver inproc;
-    sat::DratTrace trace;
-    inproc.set_proof(&trace);
+    sat::proof_test::Certificate cert("inprocess.drat");
+    inproc.set_proof(&cert.tracer());
     sat::SolverConfig fast;
     fast.restart_base = 1;
     inproc.set_config(fast);
@@ -384,8 +387,8 @@ TEST_P(SolverFuzz, InprocessingKeepsIncrementalVerdictsSound) {
     ASSERT_EQ(final_r == sat::Result::kSat, brute_force_sat(so_far, {}))
         << "seed " << GetParam() << " round " << round;
     if (final_r == sat::Result::kUnsat) {
-      ASSERT_TRUE(trace.closed());
-      const auto check = sat::check_refutation(trace);
+      ASSERT_TRUE(cert.tracer().closed());
+      const auto check = cert.refutation();
       ASSERT_TRUE(check.valid)
           << "seed " << GetParam() << " round " << round << ": "
           << check.error;
@@ -412,7 +415,8 @@ TEST(Inprocess, CertifiedUnsatStreamsVivifiedAndProbedDerivations) {
   // and clause (p q r) vivifies to (p q) through the binary (p q). The
   // streamed DRAT trace must carry both derivations and still check as a
   // refutation end to end.
-  const std::string path = "inprocess_certified.drat";
+  const sat::proof_test::ScratchPath scratch("inprocess-certified.drat");
+  const std::string& path = scratch.str();
   sat::Solver solver;
   sat::FileProofTracer tracer(path);
   solver.set_proof(&tracer);

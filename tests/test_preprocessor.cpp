@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
 
@@ -14,6 +15,7 @@
 #include "benchgen/random_dag.hpp"
 #include "cnf/equivalence.hpp"
 #include "locking/schemes.hpp"
+#include "proof_test_util.hpp"
 #include "runtime/portfolio.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/remapper.hpp"
@@ -162,7 +164,11 @@ TEST(Preprocessor, ContradictionByStrengthening) {
   prep.add_clause({neg(a)});
   prep.run();
   EXPECT_TRUE(prep.contradiction());
-  EXPECT_TRUE(prep.trace().closed());
+  // The recorded steps derive the empty clause.
+  const auto& steps = prep.proof_steps();
+  EXPECT_TRUE(std::any_of(steps.begin(), steps.end(), [](const ProofStep& s) {
+    return s.kind == ProofStepKind::kDerive && s.lits.empty();
+  }));
 }
 
 TEST(Preprocessor, LiteralBudgetBlocksWideningElimination) {
@@ -300,8 +306,9 @@ TEST(PortfolioPreprocess, CertifiedUnsatPassesChecker) {
   int unsat_seen = 0;
   for (std::uint64_t seed = 100; seed < 116; ++seed) {
     std::mt19937_64 rng(seed);
+    const proof_test::ScratchPath path("prep-certified.drat");
     runtime::SolverPortfolio portfolio(1);
-    portfolio.enable_proof();
+    portfolio.enable_proof(path.str());
     portfolio.enable_preprocessing();
     for (int v = 0; v < kVars; ++v) portfolio.new_var();
     for (int i = 0; i < kClauses; ++i) {
@@ -310,10 +317,11 @@ TEST(PortfolioPreprocess, CertifiedUnsatPassesChecker) {
     const runtime::SolveOutcome outcome = portfolio.solve();
     if (outcome.result == Result::kUnsat) {
       ++unsat_seen;
-      const DratTrace* trace = portfolio.winner_trace();
+      const FileProofTracer* trace = portfolio.winner_trace();
       ASSERT_NE(trace, nullptr);
       ASSERT_TRUE(trace->closed());
-      const DratCheckResult check = check_refutation(*trace);
+      portfolio.promote_winner_trace(path.str());
+      const DratCheckResult check = check_refutation_file(path.str());
       EXPECT_TRUE(check.valid) << "seed " << seed << ": " << check.error;
     } else if (outcome.result == Result::kSat) {
       EXPECT_EQ(outcome.model_verified, 1) << "seed " << seed;
@@ -447,16 +455,18 @@ TEST(SatAttackPreprocess, CertifiedAttackStillValidates) {
   const locking::LockedCircuit locked = locking::lock_xor(host, 8, 99);
   attacks::Oracle oracle(locked.netlist, locked.key);
 
+  const proof_test::ScratchPath path("prep-attack.drat");
   attacks::SatAttackOptions options;
   options.preprocess = true;
   options.certify = true;
+  options.proof_file = path.str();
   const attacks::SatAttackResult result =
       attacks::run_sat_attack(locked.netlist, oracle, options);
   ASSERT_EQ(result.status, attacks::SatAttackStatus::kKeyFound);
   EXPECT_EQ(result.proof_status, attacks::ProofStatus::kValid);
   EXPECT_TRUE(result.models_verified);
-  ASSERT_NE(result.proof_trace, nullptr);
-  const DratCheckResult check = check_refutation(*result.proof_trace);
+  ASSERT_EQ(result.proof_path, path.str());
+  const DratCheckResult check = check_refutation_file(path.str());
   EXPECT_TRUE(check.valid) << check.error;
 }
 

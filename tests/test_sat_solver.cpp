@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "proof_test_util.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/proof.hpp"
@@ -257,21 +258,21 @@ TEST(SatSolver, CertifiedUnsatAfterAssumptionFailure) {
   // assumptions, not the formula); the later real refutation must close
   // and certify over the same trace.
   Solver solver;
-  DratTrace trace;
-  solver.set_proof(&trace);
+  proof_test::Certificate cert("assumption-failure.drat");
+  solver.set_proof(&cert.tracer());
   const Var a = solver.new_var();
   const Var b = solver.new_var();
   ASSERT_TRUE(solver.add_clause({Lit::make(a), Lit::make(b)}));
   ASSERT_TRUE(solver.add_clause({Lit::make(a), Lit::make(b, true)}));
   EXPECT_EQ(solver.solve({Lit::make(a, true)}), Result::kUnsat);
-  EXPECT_FALSE(trace.closed());
+  EXPECT_FALSE(cert.tracer().closed());
   // The assumption conflict taught the solver the root unit `a`, so adding
   // its negation refutes the formula inside add_clause itself; the empty
   // clause must be emitted on that path too, not only inside solve().
   EXPECT_FALSE(solver.add_clause({Lit::make(a, true)}));
   EXPECT_EQ(solver.solve(), Result::kUnsat);
-  EXPECT_TRUE(trace.closed());
-  EXPECT_TRUE(check_refutation(trace).valid);
+  EXPECT_TRUE(cert.tracer().closed());
+  EXPECT_TRUE(cert.refutation().valid);
 }
 
 TEST(SatSolver, CertifiedUnsatAfterAbortedLimitedSolve) {
@@ -279,8 +280,8 @@ TEST(SatSolver, CertifiedUnsatAfterAbortedLimitedSolve) {
   // clauses in the trace; they are sound derivations, and the verdict after
   // lifting the limit must certify on top of them.
   Solver solver;
-  DratTrace trace;
-  solver.set_proof(&trace);
+  proof_test::Certificate cert("aborted-limited.drat");
+  solver.set_proof(&cert.tracer());
   std::vector<Var> vars;
   for (int i = 0; i < 6; ++i) vars.push_back(solver.new_var());
   // xor-chain parity contradiction: x0 ^ x1, x1 ^ x2, ..., plus x0 == x5.
@@ -295,8 +296,8 @@ TEST(SatSolver, CertifiedUnsatAfterAbortedLimitedSolve) {
   (void)solver.solve();
   solver.set_limits({});
   EXPECT_EQ(solver.solve(), Result::kUnsat);
-  EXPECT_TRUE(trace.closed());
-  const auto check = check_refutation(trace);
+  EXPECT_TRUE(cert.tracer().closed());
+  const auto check = cert.refutation();
   EXPECT_TRUE(check.valid) << check.error;
 }
 

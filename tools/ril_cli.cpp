@@ -30,19 +30,21 @@
 //       subsumption, failed-literal probing) inside the solvers are both
 //       on by default; --no-preprocess and --no-inprocess turn them off
 //       independently. --certify
-//       (sat only) DRAT-logs every miter solve, self-checks SAT models,
+//       (sat only) DRAT-logs every miter solve, streaming each trace to
+//       disk as binary DRAT (bounded memory), self-checks SAT models, and
 //       validates the final UNSAT certificate with the independent RUP
-//       checker, and with --proof streams the certificate to disk as
-//       binary DRAT (bounded memory, atomic temp+rename publish) for
-//       offline `ril check-proof`. A run that stops before miter-UNSAT
-//       (timeout, --max-iterations) still publishes the streamed trace as
-//       an open certificate for `ril check-proof --open`. Preprocessing
-//       and inprocessing compose with --certify: elimination, vivification,
-//       and probing steps are all emitted into the trace.
+//       checker. --proof publishes the certificate under the given path
+//       (atomic temp+rename) for offline `ril check-proof`; without it the
+//       certificate is a private temp file removed once checked. A run
+//       that stops before miter-UNSAT (timeout, --max-iterations) still
+//       publishes its --proof trace as an open certificate for
+//       `ril check-proof --open`. Preprocessing and inprocessing compose
+//       with --certify: elimination, vivification, and probing steps are
+//       all emitted into the trace.
 //
 //   ril check-proof <trace.drat> [--open]
-//       Re-validate a previously written certificate (binary or text)
-//       with the streaming forward RUP checker. By default the trace must
+//       Re-validate a previously written binary DRAT certificate with
+//       the streaming forward RUP checker. By default the trace must
 //       be a complete refutation (ends in the empty clause); --open
 //       accepts open certificates -- every step RUP-checks but no empty
 //       clause lands -- which is what an attack that stopped before
@@ -435,8 +437,8 @@ int cmd_attack(const Args& args) {
     options.preprocess_auto = args.preprocess_auto;
     options.inprocess = args.inprocess;
     options.certify = args.certify || !args.proof_path.empty();
-    // --proof selects streaming certification: the trace goes to disk as
-    // binary DRAT while the attack runs, never through a DratTrace in RAM.
+    // --proof names the published certificate; without it the attack
+    // checks a private temp certificate and removes it.
     options.proof_file = args.proof_path;
     if (method == "sat") {
       const auto result = attacks::run_sat_attack(locked, oracle, options);
@@ -860,7 +862,7 @@ std::string run_campaign_cell(const CampaignCell& cell, const Args& args,
 }
 
 /// Re-validates a DRAT certificate written by `ril attack sat --proof`,
-/// reading the trace (binary or text) from disk in one streaming pass.
+/// reading the binary trace from disk in one streaming pass.
 /// --open drops the empty-clause requirement (open certificates from
 /// attacks that stopped before miter-UNSAT). Distinct exit codes keep
 /// failures scriptable: 0 valid, 1 invalid proof, 2 usage,
