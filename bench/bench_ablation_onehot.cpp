@@ -107,21 +107,13 @@ int main(int argc, char** argv) {
         recon = eq.equivalent() ? "yes"
                 : eq.status == sat::Result::kUnknown ? "?" : "NO";
       }
-      // OnehotAttackResult lacks the clause stats, so build the telemetry
-      // fields directly.
-      std::string payload = bench::cell_payload(bench::format_attack_seconds(
-          result.seconds,
-          result.status != attacks::SatAttackStatus::kKeyFound, timeout));
-      char buffer[128];
-      std::snprintf(buffer, sizeof(buffer),
-                    ",\"iterations\":%zu,\"conflicts\":%llu,"
-                    "\"attack_seconds\":%.3f",
-                    result.iterations,
-                    static_cast<unsigned long long>(result.conflicts),
-                    result.seconds);
-      payload += buffer;
-      payload += ",\"recon\":\"" + runtime::json_escape(recon) + "\"";
-      return payload;
+      return bench::attack_payload(
+                 bench::format_attack_seconds(
+                     result.seconds,
+                     result.status != attacks::SatAttackStatus::kKeyFound,
+                     timeout),
+                 result) +
+             ",\"recon\":\"" + runtime::json_escape(recon) + "\"";
     };
     cells.push_back(std::move(onehot_cell));
   }

@@ -166,10 +166,10 @@ RunStats run_attack(const netlist::Netlist& locked,
   attacks::SatAttackOptions options;
   options.time_limit_seconds = timeout;
   options.portfolio_seed = seed;
-  options.preprocess = preprocess;
   // This benchmark measures the layers explicitly; the gate-count
   // auto-enable must not decide for it.
-  options.preprocess_auto = false;
+  options.preprocess = preprocess ? attacks::PreprocessMode::kOn
+                                  : attacks::PreprocessMode::kOff;
   options.inprocess = inprocess;
   const auto result = attacks::run_sat_attack(locked, oracle, options);
   RunStats stats;
@@ -246,8 +246,7 @@ CertifiedStats run_certified_streaming(const netlist::Netlist& locked,
   attacks::SatAttackOptions options;
   options.time_limit_seconds = timeout;
   options.portfolio_seed = seed;
-  options.preprocess = true;
-  options.preprocess_auto = false;
+  options.preprocess = attacks::PreprocessMode::kOn;
   options.inprocess = true;
   options.certify = true;
   options.proof_file = proof_path;

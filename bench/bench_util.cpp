@@ -17,7 +17,9 @@ attacks::SatAttackOptions BenchOptions::attack_options(double timeout) const {
   attack.portfolio_seed = seed;
   attack.record_solves = solver_jobs > 1 || !stats_path.empty();
   attack.certify = certify;
-  attack.preprocess = preprocess;
+  // Without --preprocess the size-triggered default decides.
+  attack.preprocess = preprocess ? attacks::PreprocessMode::kOn
+                                 : attacks::PreprocessMode::kAuto;
   return attack;
 }
 
@@ -27,7 +29,8 @@ attacks::AppSatOptions BenchOptions::appsat_options(double timeout) const {
   appsat.jobs = solver_jobs;
   appsat.portfolio_seed = seed;
   appsat.record_solves = solver_jobs > 1 || !stats_path.empty();
-  appsat.preprocess = preprocess;
+  appsat.preprocess = preprocess ? attacks::PreprocessMode::kOn
+                                 : attacks::PreprocessMode::kOff;
   return appsat;
 }
 
@@ -129,15 +132,14 @@ std::string cell_payload(const std::string& cell) {
 }
 
 std::string attack_payload(const std::string& cell,
-                           const attacks::SatAttackResult& result) {
-  char buffer[192];
+                           const attacks::DipLoopStats& result) {
+  char buffer[160];
   std::snprintf(buffer, sizeof(buffer),
                 ",\"iterations\":%zu,\"conflicts\":%llu,"
-                "\"encoded_clauses\":%zu,\"saved_clauses\":%zu,"
-                "\"attack_seconds\":%.3f",
+                "\"encoded_clauses\":%zu,\"attack_seconds\":%.3f",
                 result.iterations,
                 static_cast<unsigned long long>(result.conflicts),
-                result.encoded_clauses, result.saved_clauses, result.seconds);
+                result.encoded_clauses, result.seconds);
   std::string payload = cell_payload(cell) + buffer;
   // Certification telemetry rides along only when requested so existing
   // trajectory consumers keep seeing the legacy record shape.

@@ -35,8 +35,10 @@ struct BenchOptions {
   std::string out_path;      ///< per-cell JSONL stream (--out FILE)
   bool resume = false;       ///< skip cells already in out_path (--resume)
   bool certify = false;      ///< DRAT-certify every SAT verdict (--certify)
-  bool preprocess = false;   ///< SatELite-style CNF preprocessing
-                             ///< (--preprocess / --no-preprocess)
+  /// SatELite-style CNF preprocessing (--preprocess). Off, the SAT
+  /// attack preprocesses only 100k+-gate hosts (PreprocessMode::kAuto)
+  /// and AppSAT not at all.
+  bool preprocess = false;
 
   /// SAT-attack options carrying the portfolio settings.
   attacks::SatAttackOptions attack_options(double timeout) const;
@@ -67,7 +69,7 @@ std::string cell_payload(const std::string& cell);
 /// trajectory files need (iterations, conflicts, clause stats, seconds;
 /// under --certify also the proof verdict, trace size, and model checks).
 std::string attack_payload(const std::string& cell,
-                           const attacks::SatAttackResult& result);
+                           const attacks::DipLoopStats& result);
 
 /// Appends one JSON line per portfolio solve of `result` to
 /// `options.stats_path` (no-op when --stats was not given). `label`

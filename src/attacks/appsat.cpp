@@ -3,15 +3,13 @@
 #include <random>
 
 #include "attacks/engine/dip_encoder.hpp"
-#include "attacks/engine/miter_context.hpp"
+#include "attacks/engine/dip_loop.hpp"
 #include "attacks/metrics.hpp"
 #include "netlist/simulator.hpp"
 
 namespace ril::attacks {
 
 using netlist::Netlist;
-using runtime::SolverPortfolio;
-using sat::Var;
 
 std::string to_string(AppSatStatus status) {
   switch (status) {
@@ -26,131 +24,57 @@ std::string to_string(AppSatStatus status) {
 
 AppSatResult run_appsat(const Netlist& locked, QueryOracle& oracle,
                         const AppSatOptions& options) {
-  engine::AttackBudget budget(options.time_limit_seconds, options.cancel);
-  budget.enable_recording(options.record_solves);
+  engine::PlainEncoding encoding(locked, options.miter_skeleton,
+                                 options.capture_skeleton);
+  engine::DipLoop loop(locked, oracle, options, encoding);
   std::mt19937_64 rng(options.seed);
-
-  AppSatResult result;
-
-  SolverPortfolio miter(options.jobs, options.portfolio_seed);
-  miter.set_external_stop(budget.stop_flag());
-  if (options.preprocess) miter.enable_preprocessing();
-  if (options.inprocess) miter.enable_inprocessing();
-  const engine::MiterContext ctx(locked, miter);
-  if (options.preprocess || options.inprocess) {
-    miter.freeze(ctx.input_vars());
-    miter.freeze(ctx.copy(0).key_vars);
-    miter.freeze(ctx.copy(1).key_vars);
-  }
-
-  SolverPortfolio key_solver(options.jobs, options.portfolio_seed + 0x9e37);
-  key_solver.set_external_stop(budget.stop_flag());
-  if (options.preprocess) key_solver.enable_preprocessing();
-  if (options.inprocess) key_solver.enable_inprocessing();
-  const std::vector<Var> key_vars =
-      engine::make_vars(key_solver, locked.key_inputs().size());
-  if (options.preprocess || options.inprocess) key_solver.freeze(key_vars);
-
-  engine::DipConstraintEncoder dips(locked, options.specialize_dips);
   netlist::Simulator sim(locked);  // reused across every settle step
 
-  // Pins locked(x, K) == y in both miter copies and the key solver.
-  auto reinforce = [&](const std::vector<bool>& x,
-                       const std::vector<bool>& y) {
-    engine::ConstraintStats stats =
-        dips.add_constraint(miter, ctx.copy(0).key_vars, x, y);
-    stats += dips.add_constraint(miter, ctx.copy(1).key_vars, x, y);
-    stats += dips.add_constraint(key_solver, key_vars, x, y);
-    budget.add_constraints(stats);
-  };
-
-  auto extract_candidate = [&](std::vector<bool>& key) -> sat::Result {
-    if (budget.limited() || budget.cancelled()) {
-      key_solver.set_limits(budget.limits());
-    }
-    const runtime::SolveOutcome outcome = key_solver.solve();
-    budget.record(result.iterations, "key", outcome);
-    if (outcome.result == sat::Result::kSat) {
-      key.clear();
-      for (Var v : key_vars) key.push_back(key_solver.model_bool(v));
-    }
-    return outcome.result;
-  };
-
+  AppSatResult result;
   while (true) {
-    if (options.max_iterations != 0 &&
-        result.iterations >= options.max_iterations) {
-      result.status = AppSatStatus::kIterationLimit;
-      break;
-    }
-    if (budget.expired()) {
-      result.status = AppSatStatus::kTimeout;
-      break;
-    }
-    if (budget.limited() || budget.cancelled()) {
-      miter.set_limits(budget.limits());
-    }
-    const runtime::SolveOutcome miter_outcome = miter.solve();
-    budget.record(result.iterations, "miter", miter_outcome);
-    const sat::Result r = miter_outcome.result;
-    if (r == sat::Result::kUnknown) {
-      result.status = AppSatStatus::kTimeout;
-      break;
-    }
-    if (r == sat::Result::kUnsat) {
-      const sat::Result kr = extract_candidate(result.key);
-      if (kr == sat::Result::kSat) {
-        result.status = AppSatStatus::kExact;
+    if (const auto status = loop.step()) {
+      result.status =
+          *status == SatAttackStatus::kKeyFound ? AppSatStatus::kExact
+          : *status == SatAttackStatus::kIterationLimit
+              ? AppSatStatus::kIterationLimit
+          : *status == SatAttackStatus::kInconsistent
+              ? AppSatStatus::kInconsistent
+              : AppSatStatus::kTimeout;
+      if (result.status == AppSatStatus::kExact) {
+        result.key = loop.key();
         result.sampled_error = 0.0;
-      } else if (kr == sat::Result::kUnsat) {
-        result.status = AppSatStatus::kInconsistent;
-      } else {
-        result.status = AppSatStatus::kTimeout;
       }
       break;
     }
+    if (loop.iterations() % options.settle_interval != 0) continue;
 
-    const std::vector<bool> dip =
-        ctx.extract_dip([&](Var v) { return miter.model_bool(v); });
-    const std::vector<bool> response = oracle.query(dip);
-    reinforce(dip, response);
-    ++result.iterations;
-
-    if (result.iterations % options.settle_interval == 0) {
-      std::vector<bool> candidate;
-      const sat::Result kr = extract_candidate(candidate);
-      if (kr == sat::Result::kUnsat) {
-        result.status = AppSatStatus::kInconsistent;
-        break;
-      }
-      if (kr == sat::Result::kUnknown) {
-        result.status = AppSatStatus::kTimeout;
-        break;
-      }
-      // Reinforcement + error estimation over random queries.
-      const auto mismatches = sample_key_mismatches(
-          sim, candidate, oracle, options.random_queries, rng);
-      for (const auto& [x, y] : mismatches) reinforce(x, y);
-      const double error =
-          options.random_queries == 0
-              ? 1.0
-              : static_cast<double>(mismatches.size()) /
-                    options.random_queries;
-      if (error <= options.error_threshold) {
-        result.status = AppSatStatus::kApproximate;
-        result.key = candidate;
-        result.sampled_error = error;
-        break;
-      }
+    // Settle: reinforce with random queries the candidate key gets wrong
+    // and estimate its error from them.
+    std::vector<bool> candidate;
+    const sat::Result kr = loop.candidate_key(candidate);
+    if (kr == sat::Result::kUnsat) {
+      result.status = AppSatStatus::kInconsistent;
+      break;
+    }
+    if (kr == sat::Result::kUnknown) {
+      result.status = AppSatStatus::kTimeout;
+      break;
+    }
+    const auto mismatches = sample_key_mismatches(
+        sim, candidate, oracle, options.random_queries, rng);
+    for (const auto& [x, y] : mismatches) loop.constrain(x, y);
+    const double error =
+        options.random_queries == 0
+            ? 1.0
+            : static_cast<double>(mismatches.size()) / options.random_queries;
+    if (error <= options.error_threshold) {
+      result.status = AppSatStatus::kApproximate;
+      result.key = std::move(candidate);
+      result.sampled_error = error;
+      break;
     }
   }
-
-  result.seconds = budget.elapsed();
-  result.conflicts = miter.total_conflicts();
-  const engine::ConstraintStats totals = budget.constraint_totals();
-  result.encoded_clauses = totals.encoded_clauses;
-  result.saved_clauses = totals.saved_clauses;
-  result.solve_log = budget.take_log();
+  loop.finish(result);
   return result;
 }
 

@@ -6,22 +6,21 @@
 // approximate key. Against high-corruptibility schemes (RIL-Blocks) the
 // error never settles, and against a Scan-Enable-obfuscated oracle the
 // returned key is wrong for the functional circuit -- the "AppSAT fails"
-// column of Table III.
+// column of Table III. Runs on the SAT attack's engine::DipLoop: the settle
+// step is the only thing AppSAT adds between its iterations.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
-#include "attacks/engine/attack_budget.hpp"
 #include "attacks/oracle.hpp"
+#include "attacks/sat_attack.hpp"
 #include "netlist/netlist.hpp"
 
 namespace ril::attacks {
 
-struct AppSatOptions {
-  double time_limit_seconds = 0.0;
-  std::size_t max_iterations = 0;
+/// The shared DIP-loop options plus AppSAT's settle step.
+struct AppSatOptions : SatAttackOptions {
   /// Run the reinforcement/estimation step every `settle_interval` DIPs.
   std::size_t settle_interval = 4;
   /// Random queries per reinforcement step.
@@ -30,24 +29,6 @@ struct AppSatOptions {
   double error_threshold = 0.01;
   /// Seed for the random-query generator.
   std::uint64_t seed = 1;
-  /// Portfolio width for the miter / candidate-key solves; 1 reproduces
-  /// the historical single-solver behaviour bit-for-bit.
-  unsigned jobs = 1;
-  /// Base seed for portfolio diversification (irrelevant when jobs == 1).
-  std::uint64_t portfolio_seed = 1;
-  /// Append every portfolio solve to AppSatResult::solve_log.
-  bool record_solves = false;
-  /// Cone-specialized I/O-constraint encoding (see SatAttackOptions).
-  bool specialize_dips = true;
-  /// SatELite-style preprocessing of the miter / key formulas before their
-  /// first solve (see SatAttackOptions::preprocess). On by default, like
-  /// the exact attack; --no-preprocess restores the historical path.
-  bool preprocess = true;
-  /// Restart-time inprocessing inside the portfolio members (see
-  /// SatAttackOptions::inprocess). Orthogonal to `preprocess`.
-  bool inprocess = true;
-  /// Optional caller-owned cancellation flag (reported as kTimeout).
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 enum class AppSatStatus {
@@ -58,20 +39,13 @@ enum class AppSatStatus {
   kInconsistent,  ///< candidate-key extraction became UNSAT
 };
 
-struct AppSatResult {
+struct AppSatResult : DipLoopStats {
   AppSatStatus status = AppSatStatus::kTimeout;
+  /// kExact: the canonical key (as run_sat_attack returns it);
+  /// kApproximate: the candidate whose sampled error settled.
   std::vector<bool> key;
   /// Sampled error rate of `key` against the oracle at termination.
   double sampled_error = 1.0;
-  std::size_t iterations = 0;
-  double seconds = 0.0;
-  /// CDCL conflicts across all miter-portfolio members.
-  std::uint64_t conflicts = 0;
-  /// Constraint-clause totals (see SatAttackResult).
-  std::size_t encoded_clauses = 0;
-  std::size_t saved_clauses = 0;
-  /// Per-solve portfolio stats; filled when options.record_solves is set.
-  std::vector<engine::SolveRecord> solve_log;
 };
 
 std::string to_string(AppSatStatus status);

@@ -33,14 +33,13 @@ sat::SolverLimits AttackBudget::limits() const {
 void AttackBudget::record(std::size_t iteration, const char* phase,
                           const runtime::SolveOutcome& outcome) {
   if (!recording_) return;
-  log_.push_back({iteration, phase, outcome, 0, 0});
+  log_.push_back({iteration, phase, outcome, 0});
 }
 
-void AttackBudget::add_constraints(const ConstraintStats& stats) {
-  totals_ += stats;
+void AttackBudget::add_constraints(std::size_t encoded_clauses) {
+  encoded_clauses_ += encoded_clauses;
   if (recording_ && !log_.empty()) {
-    log_.back().encoded_clauses += stats.encoded_clauses;
-    log_.back().saved_clauses += stats.saved_clauses;
+    log_.back().encoded_clauses += encoded_clauses;
   }
 }
 
@@ -51,8 +50,7 @@ std::string solve_record_json(const SolveRecord& record) {
                 record.iteration, record.phase.c_str());
   char suffix[96];
   std::snprintf(suffix, sizeof(suffix),
-                ",\"encoded_clauses\":%zu,\"saved_clauses\":%zu}",
-                record.encoded_clauses, record.saved_clauses);
+                ",\"encoded_clauses\":%zu}", record.encoded_clauses);
   return std::string(prefix) + runtime::to_json(record.outcome) + suffix;
 }
 

@@ -24,20 +24,6 @@
 
 namespace ril::attacks::engine {
 
-/// Clause accounting for one encoded I/O constraint (or a sum of them).
-/// saved_clauses is how many clauses a full circuit re-encoding would have
-/// added on top of what the cone-specialized encoding actually added.
-struct ConstraintStats {
-  std::size_t encoded_clauses = 0;
-  std::size_t saved_clauses = 0;
-
-  ConstraintStats& operator+=(const ConstraintStats& other) {
-    encoded_clauses += other.encoded_clauses;
-    saved_clauses += other.saved_clauses;
-    return *this;
-  }
-};
-
 /// One entry of the per-solve log: which solve of the attack loop it was,
 /// how the portfolio decided it, and what the iteration's I/O constraints
 /// cost in clauses.
@@ -46,7 +32,6 @@ struct SolveRecord {
   std::string phase;          ///< "miter" or "key"
   runtime::SolveOutcome outcome;
   std::size_t encoded_clauses = 0;  ///< constraint clauses added after it
-  std::size_t saved_clauses = 0;    ///< clauses avoided by specialization
 };
 
 /// Serializes one record as a JSON object (one line, stable key order).
@@ -80,8 +65,8 @@ class AttackBudget {
               const runtime::SolveOutcome& outcome);
   /// Accounts constraint clauses toward the run totals and attaches them
   /// to the most recent record (the solve that produced the witness).
-  void add_constraints(const ConstraintStats& stats);
-  const ConstraintStats& constraint_totals() const { return totals_; }
+  void add_constraints(std::size_t encoded_clauses);
+  std::size_t encoded_clauses() const { return encoded_clauses_; }
   std::vector<SolveRecord> take_log() { return std::move(log_); }
 
  private:
@@ -90,7 +75,7 @@ class AttackBudget {
   const std::atomic<bool>* cancel_ = nullptr;
   bool recording_ = false;
   std::vector<SolveRecord> log_;
-  ConstraintStats totals_;
+  std::size_t encoded_clauses_ = 0;
 };
 
 }  // namespace ril::attacks::engine

@@ -1,7 +1,6 @@
 #include "attacks/engine/dip_encoder.hpp"
 
 #include <stdexcept>
-#include <unordered_map>
 
 #include "cnf/tseitin.hpp"
 #include "netlist/simplify.hpp"
@@ -10,56 +9,39 @@
 namespace ril::attacks::engine {
 
 using netlist::Netlist;
-using netlist::NodeId;
 using sat::ClauseSink;
 using sat::CountingSink;
 using sat::Lit;
 using sat::Var;
 
-DipConstraintEncoder::DipConstraintEncoder(const Netlist& locked,
-                                           bool specialize)
+PlainEncoding::PlainEncoding(const Netlist& locked,
+                             const MiterSkeleton* replay,
+                             MiterSkeleton* capture)
     : locked_(&locked),
-      data_inputs_(locked.data_inputs()),
-      specialize_(specialize) {}
+      replay_(replay),
+      capture_(capture),
+      data_inputs_(locked.data_inputs()) {}
 
-ConstraintStats DipConstraintEncoder::add_constraint(
-    ClauseSink& sink, const std::vector<Var>& key_vars,
-    const std::vector<bool>& dip, const std::vector<bool>& response) {
-  if (key_vars.size() != locked_->key_inputs().size() ||
+MiterVars PlainEncoding::encode_miter(ClauseSink& sink) {
+  const MiterContext ctx = replay_ != nullptr
+                               ? MiterContext(*locked_, *replay_, sink)
+                               : MiterContext(*locked_, sink, capture_);
+  return {ctx.input_vars(), {ctx.copy(0).key_vars, ctx.copy(1).key_vars}};
+}
+
+std::vector<Var> PlainEncoding::make_key(ClauseSink& sink) {
+  return make_vars(sink, locked_->key_inputs().size());
+}
+
+std::size_t PlainEncoding::add_constraint(ClauseSink& sink,
+                                          const std::vector<Var>& key,
+                                          const std::vector<bool>& dip,
+                                          const std::vector<bool>& response) {
+  if (key.size() != locked_->key_inputs().size() ||
       dip.size() != data_inputs_.size() ||
       response.size() != locked_->outputs().size()) {
     throw std::invalid_argument("add_constraint: width mismatch");
   }
-  return specialize_ ? add_specialized(sink, key_vars, dip, response)
-                     : add_full(sink, key_vars, dip, response);
-}
-
-ConstraintStats DipConstraintEncoder::add_full(
-    ClauseSink& sink, const std::vector<Var>& key_vars,
-    const std::vector<bool>& dip, const std::vector<bool>& response) {
-  // Historical encoding, preserved bit-for-bit: bind the keys, encode the
-  // whole circuit, then unit-fix the data inputs and outputs.
-  CountingSink counting(&sink);
-  std::unordered_map<NodeId, Var> bound;
-  bound.reserve(key_vars.size());
-  for (std::size_t i = 0; i < key_vars.size(); ++i) {
-    bound.emplace(locked_->key_inputs()[i], key_vars[i]);
-  }
-  const cnf::CircuitEncoding enc =
-      cnf::encode_circuit(*locked_, counting, bound);
-  for (std::size_t i = 0; i < data_inputs_.size(); ++i) {
-    counting.add_clause({Lit::make(enc.var_of(data_inputs_[i]), !dip[i])});
-  }
-  const auto& outputs = locked_->outputs();
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    counting.add_clause({Lit::make(enc.var_of(outputs[i]), !response[i])});
-  }
-  return {counting.clauses(), 0};
-}
-
-ConstraintStats DipConstraintEncoder::add_specialized(
-    ClauseSink& sink, const std::vector<Var>& key_vars,
-    const std::vector<bool>& dip, const std::vector<bool>& response) {
   if (!cone_ || cone_dip_ != dip) {
     cone_ = netlist::specialize_inputs(*locked_, data_inputs_, dip);
     netlist::simplify(*cone_);
@@ -67,32 +49,11 @@ ConstraintStats DipConstraintEncoder::add_specialized(
   }
   CountingSink counting(&sink);
   const cnf::SpecializedEncoding spec =
-      cnf::encode_specialized(*cone_, counting, key_vars);
+      cnf::encode_specialized(*cone_, counting, key);
   for (std::size_t i = 0; i < spec.outputs.size(); ++i) {
     counting.add_clause({Lit::make(spec.outputs[i], !response[i])});
   }
-  ConstraintStats stats;
-  stats.encoded_clauses = counting.clauses();
-  const std::size_t full = full_constraint_clauses();
-  stats.saved_clauses =
-      full > stats.encoded_clauses ? full - stats.encoded_clauses : 0;
-  return stats;
-}
-
-std::size_t DipConstraintEncoder::full_constraint_clauses() const {
-  if (!baseline_known_) {
-    // Dry-run the full encoding once to price the baseline.
-    CountingSink counting;
-    std::unordered_map<NodeId, Var> bound;
-    for (NodeId id : locked_->key_inputs()) {
-      bound.emplace(id, counting.new_var());
-    }
-    cnf::encode_circuit(*locked_, counting, bound);
-    baseline_clauses_ =
-        counting.clauses() + data_inputs_.size() + locked_->outputs().size();
-    baseline_known_ = true;
-  }
-  return baseline_clauses_;
+  return counting.clauses();
 }
 
 }  // namespace ril::attacks::engine

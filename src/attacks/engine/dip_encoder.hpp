@@ -1,63 +1,50 @@
-// Cone-specialized DIP-constraint encoder.
+// The plain DIP encoding: the locked circuit as it is, keys bound
+// positionally to key_inputs().
 //
-// An I/O constraint pins the circuit to one fixed input pattern, so most of
-// the circuit is constant under it. The historical encoders still Tseitin-
-// encoded the entire netlist per constraint (O(|circuit|) clauses per DIP
-// per copy). DipConstraintEncoder instead cofactors the netlist on the DIP
-// (netlist::specialize_inputs) and constant-propagates it down to the
-// key-dependent cone (netlist::simplify) before encoding, typically an
-// order of magnitude fewer clauses per constraint; the cofactor is cached
-// across the three per-DIP call sites (miter copy 1 / copy 2 / key
-// solver). With specialization off it reproduces the historical encoding
-// bit-for-bit -- the regression baseline.
+// The miter is MiterContext's free-key miter (optionally replayed from or
+// captured into a MiterSkeleton). An I/O constraint pins the circuit to one
+// fixed input pattern, so most of the circuit is constant under it:
+// instead of re-encoding the whole netlist per constraint, the encoding
+// cofactors the netlist on the DIP (netlist::specialize_inputs) and
+// constant-propagates it down to the key-dependent cone (netlist::simplify)
+// before encoding -- typically an order of magnitude fewer clauses per
+// constraint. The cofactor is cached across the three per-DIP call sites
+// (miter copy 1 / copy 2 / key solver).
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <vector>
 
-#include "attacks/engine/attack_budget.hpp"
+#include "attacks/engine/dip_loop.hpp"
+#include "attacks/engine/miter_context.hpp"
 #include "netlist/netlist.hpp"
 #include "sat/clause_sink.hpp"
 
 namespace ril::attacks::engine {
 
-class DipConstraintEncoder {
+class PlainEncoding final : public DipEncoding {
  public:
-  /// `locked` must outlive the encoder. `specialize` selects the
-  /// cone-specialized encoding; false reproduces the historical full
-  /// re-encoding (identical variable/clause stream).
-  DipConstraintEncoder(const netlist::Netlist& locked, bool specialize);
+  /// `locked` (and a given skeleton) must outlive the encoding. With
+  /// `replay` set the miter is replayed from it; otherwise it is encoded
+  /// and, with `capture` set, recorded into it.
+  explicit PlainEncoding(const netlist::Netlist& locked,
+                         const MiterSkeleton* replay = nullptr,
+                         MiterSkeleton* capture = nullptr);
 
-  /// Adds clauses asserting locked(dip, K) == response to `sink`, with the
-  /// key inputs bound positionally to `key_vars`. Returns the clause cost
-  /// (and, under specialization, the clauses saved vs. a full encoding).
-  ConstraintStats add_constraint(sat::ClauseSink& sink,
-                                 const std::vector<sat::Var>& key_vars,
-                                 const std::vector<bool>& dip,
-                                 const std::vector<bool>& response);
-
-  bool specialize() const { return specialize_; }
-
-  /// Clause cost of one full (non-specialized) constraint encoding; the
-  /// baseline the saved_clauses figures are measured against.
-  std::size_t full_constraint_clauses() const;
+  MiterVars encode_miter(sat::ClauseSink& sink) override;
+  /// One variable per key input, in key_inputs() order.
+  std::vector<sat::Var> make_key(sat::ClauseSink& sink) override;
+  std::size_t add_constraint(sat::ClauseSink& sink,
+                             const std::vector<sat::Var>& key,
+                             const std::vector<bool>& dip,
+                             const std::vector<bool>& response) override;
 
  private:
-  ConstraintStats add_full(sat::ClauseSink& sink,
-                           const std::vector<sat::Var>& key_vars,
-                           const std::vector<bool>& dip,
-                           const std::vector<bool>& response);
-  ConstraintStats add_specialized(sat::ClauseSink& sink,
-                                  const std::vector<sat::Var>& key_vars,
-                                  const std::vector<bool>& dip,
-                                  const std::vector<bool>& response);
-
   const netlist::Netlist* locked_ = nullptr;
+  const MiterSkeleton* replay_ = nullptr;
+  MiterSkeleton* capture_ = nullptr;
   std::vector<netlist::NodeId> data_inputs_;
-  bool specialize_ = false;
-  mutable bool baseline_known_ = false;
-  mutable std::size_t baseline_clauses_ = 0;
   // Cofactor cache: constraints arrive in same-DIP bursts (both miter
   // copies plus the key solver), so the last cone is almost always a hit.
   std::optional<netlist::Netlist> cone_;

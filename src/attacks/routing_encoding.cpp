@@ -1,12 +1,12 @@
 #include "attacks/routing_encoding.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "attacks/engine/dip_loop.hpp"
+#include "attacks/engine/miter_context.hpp"
 #include "cnf/tseitin.hpp"
-#include "sat/solver.hpp"
 #include "locking/locked.hpp"
 #include "netlist/simplify.hpp"
 
@@ -15,8 +15,8 @@ namespace ril::attacks {
 using netlist::GateType;
 using netlist::Netlist;
 using netlist::NodeId;
+using sat::ClauseSink;
 using sat::Lit;
-using sat::Solver;
 using sat::Var;
 
 namespace {
@@ -161,166 +161,205 @@ std::vector<RoutingComponent> find_routing_networks(const Netlist& locked) {
 
 namespace {
 
-/// Per-solver variable bundle playing the role of the key.
-struct OnehotKeys {
-  std::vector<Var> plain;  // aligned with plain_key_inputs
-  /// selectors[c][o * inputs + i]
-  std::vector<std::vector<Var>> selectors;
-};
-
 /// Sequential (ladder) at-most-one over `lits` -- the auxiliary-variable
 /// compressed form BVA would produce from the pairwise encoding: linear
 /// clause count and strong unit propagation.
-void add_at_most_one(Solver& solver, const std::vector<Lit>& lits) {
+void add_at_most_one(ClauseSink& sink, const std::vector<Lit>& lits) {
   if (lits.size() <= 1) return;
   if (lits.size() == 2) {
-    solver.add_clause({~lits[0], ~lits[1]});
+    sink.add_clause({~lits[0], ~lits[1]});
     return;
   }
-  Var prev = solver.new_var();  // s_0 <- x_0
-  solver.add_clause({~lits[0], Lit::make(prev)});
+  Var prev = sink.new_var();  // s_0 <- x_0
+  sink.add_clause({~lits[0], Lit::make(prev)});
   for (std::size_t i = 1; i < lits.size(); ++i) {
     if (i + 1 < lits.size()) {
-      const Var next = solver.new_var();
-      solver.add_clause({~lits[i], Lit::make(next)});
-      solver.add_clause({Lit::make(prev, true), Lit::make(next)});
-      solver.add_clause({~lits[i], Lit::make(prev, true)});
+      const Var next = sink.new_var();
+      sink.add_clause({~lits[i], Lit::make(next)});
+      sink.add_clause({Lit::make(prev, true), Lit::make(next)});
+      sink.add_clause({~lits[i], Lit::make(prev, true)});
       prev = next;
     } else {
-      solver.add_clause({~lits[i], Lit::make(prev, true)});
+      sink.add_clause({~lits[i], Lit::make(prev, true)});
     }
   }
 }
 
-OnehotKeys make_onehot_keys(Solver& solver, std::size_t plain_count,
-                            const std::vector<RoutingComponent>& components) {
-  OnehotKeys keys;
-  for (std::size_t i = 0; i < plain_count; ++i) {
-    keys.plain.push_back(solver.new_var());
-  }
-  for (const RoutingComponent& component : components) {
-    const std::size_t n_in = component.inputs.size();
-    const std::size_t n_out = component.outputs.size();
-    std::vector<Var> sel;
-    sel.reserve(n_in * n_out);
-    for (std::size_t i = 0; i < n_in * n_out; ++i) {
-      sel.push_back(solver.new_var());
-    }
-    // Exactly-one selector per output row.
-    for (std::size_t o = 0; o < n_out; ++o) {
-      sat::Clause at_least;
-      std::vector<Lit> row;
-      for (std::size_t i = 0; i < n_in; ++i) {
-        at_least.push_back(Lit::make(sel[o * n_in + i]));
-        row.push_back(Lit::make(sel[o * n_in + i]));
+/// The attacker's view of `locked` with every routing component replaced
+/// by one layer of one-hot-selected MUXes. A key bundle is the plain key
+/// variables (aligned with plain_key_inputs) followed by each component's
+/// selector matrix, row-major: selector (c, o, i) picks input i for
+/// output o of component c.
+class OnehotEncoding final : public engine::DipEncoding {
+ public:
+  /// `locked` and `components` must outlive the encoding.
+  OnehotEncoding(const Netlist& locked,
+                 const std::vector<RoutingComponent>& components,
+                 std::vector<NodeId> plain_key_inputs)
+      : locked_(locked),
+        components_(components),
+        plain_key_inputs_(std::move(plain_key_inputs)),
+        data_inputs_(locked.data_inputs()),
+        role_(locked.node_count(), Role::kNormal),
+        out_pos_(locked.node_count(), {0, 0}) {
+    std::size_t offset = plain_key_inputs_.size();
+    for (std::size_t c = 0; c < components.size(); ++c) {
+      for (NodeId mux : components[c].members) role_[mux] = Role::kInternal;
+      for (std::size_t o = 0; o < components[c].outputs.size(); ++o) {
+        role_[components[c].outputs[o]] = Role::kOutput;
+        out_pos_[components[c].outputs[o]] = {c, o};
       }
-      solver.add_clause(at_least);
-      add_at_most_one(solver, row);
+      offset_.push_back(offset);
+      offset += components[c].inputs.size() * components[c].outputs.size();
     }
-    // Permutation side constraint (at most one output per input port).
-    // Only sound for terminal networks: in chained components an upstream
-    // output and a downstream output can legitimately carry the same port.
-    if (component.terminal && n_in == n_out) {
-      for (std::size_t i = 0; i < n_in; ++i) {
-        std::vector<Lit> column;
-        for (std::size_t o = 0; o < n_out; ++o) {
-          column.push_back(Lit::make(sel[o * n_in + i]));
+  }
+
+  engine::MiterVars encode_miter(ClauseSink& sink) override {
+    engine::MiterVars vars;
+    vars.inputs = engine::make_vars(sink, data_inputs_.size());
+    std::unordered_map<NodeId, Var> bound_x;
+    for (std::size_t i = 0; i < data_inputs_.size(); ++i) {
+      bound_x.emplace(data_inputs_[i], vars.inputs[i]);
+    }
+    vars.keys[0] = make_key(sink);
+    vars.keys[1] = make_key(sink);
+    const auto vars1 = encode_copy(sink, bound_x, vars.keys[0]);
+    const auto vars2 = encode_copy(sink, bound_x, vars.keys[1]);
+    std::vector<Var> out1;
+    std::vector<Var> out2;
+    for (NodeId id : locked_.outputs()) {
+      out1.push_back(vars1[id]);
+      out2.push_back(vars2[id]);
+    }
+    cnf::encode_miter(sink, out1, out2);
+    return vars;
+  }
+
+  std::vector<Var> make_key(ClauseSink& sink) override {
+    std::vector<Var> key = engine::make_vars(sink, plain_key_inputs_.size());
+    for (const RoutingComponent& component : components_) {
+      const std::size_t n_in = component.inputs.size();
+      const std::size_t n_out = component.outputs.size();
+      const std::vector<Var> sel = engine::make_vars(sink, n_in * n_out);
+      // Exactly-one selector per output row.
+      for (std::size_t o = 0; o < n_out; ++o) {
+        std::vector<Lit> row;
+        for (std::size_t i = 0; i < n_in; ++i) {
+          row.push_back(Lit::make(sel[o * n_in + i]));
         }
-        add_at_most_one(solver, column);
+        sink.add_clause(row);
+        add_at_most_one(sink, row);
+      }
+      // Permutation side constraint (at most one output per input port).
+      // Only sound for terminal networks: in chained components an
+      // upstream output and a downstream output can legitimately carry
+      // the same port.
+      if (component.terminal && n_in == n_out) {
+        for (std::size_t i = 0; i < n_in; ++i) {
+          std::vector<Lit> column;
+          for (std::size_t o = 0; o < n_out; ++o) {
+            column.push_back(Lit::make(sel[o * n_in + i]));
+          }
+          add_at_most_one(sink, column);
+        }
+      }
+      key.insert(key.end(), sel.begin(), sel.end());
+    }
+    return key;
+  }
+
+  std::size_t add_constraint(ClauseSink& sink, const std::vector<Var>& key,
+                             const std::vector<bool>& dip,
+                             const std::vector<bool>& response) override {
+    sat::CountingSink counting(&sink);
+    const auto node_var = encode_copy(counting, {}, key);
+    for (std::size_t i = 0; i < data_inputs_.size(); ++i) {
+      counting.add_clause({Lit::make(node_var[data_inputs_[i]], !dip[i])});
+    }
+    const auto& outputs = locked_.outputs();
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+      counting.add_clause({Lit::make(node_var[outputs[i]], !response[i])});
+    }
+    return counting.clauses();
+  }
+
+  /// Decodes a key bundle's values: the plain key bits and, per
+  /// component, the input each output selects.
+  void decode(const std::vector<bool>& key, OnehotAttackResult& result) const {
+    result.plain_key.assign(key.begin(),
+                            key.begin() + plain_key_inputs_.size());
+    for (std::size_t c = 0; c < components_.size(); ++c) {
+      const std::size_t n_in = components_[c].inputs.size();
+      std::vector<std::size_t> choice(components_[c].outputs.size(), 0);
+      for (std::size_t o = 0; o < choice.size(); ++o) {
+        for (std::size_t i = 0; i < n_in; ++i) {
+          if (key[offset_[c] + o * n_in + i]) choice[o] = i;
+        }
+      }
+      result.routing_choice.push_back(std::move(choice));
+    }
+  }
+
+ private:
+  enum class Role : std::uint8_t { kNormal, kInternal, kOutput };
+
+  /// Encodes one circuit copy with the routing components replaced by the
+  /// one-hot layer. Returns node -> var.
+  std::vector<Var> encode_copy(ClauseSink& sink,
+                               const std::unordered_map<NodeId, Var>& bound,
+                               const std::vector<Var>& key) const {
+    std::vector<Var> node_var(locked_.node_count(), sat::kNoVar);
+    for (const auto& [node, var] : bound) node_var[node] = var;
+    for (std::size_t i = 0; i < plain_key_inputs_.size(); ++i) {
+      node_var[plain_key_inputs_[i]] = key[i];
+    }
+
+    for (NodeId id : locked_.topological_order()) {
+      if (role_[id] == Role::kInternal) continue;  // replaced wholesale
+      if (node_var[id] == sat::kNoVar) node_var[id] = sink.new_var();
+      if (role_[id] == Role::kNormal) {
+        // Routing key inputs are plain inputs here but unconstrained/unused.
+        cnf::encode_node(sink, locked_, id, node_var);
+        continue;
+      }
+      // One-hot output: y = in_i when sel[o][i].
+      const auto [c, o] = out_pos_[id];
+      const RoutingComponent& component = components_[c];
+      const std::size_t n_in = component.inputs.size();
+      const Var y = node_var[id];
+      for (std::size_t i = 0; i < n_in; ++i) {
+        const Var sel = key[offset_[c] + o * n_in + i];
+        // The one-hot layer lets any output select any input, including an
+        // input the topological walk has not reached yet (in a chained
+        // network it can depend on another output). Create its variable
+        // now; its gate is encoded when the walk reaches it.
+        Var& in = node_var[component.inputs[i]];
+        if (in == sat::kNoVar) in = sink.new_var();
+        sink.add_clause(
+            {Lit::make(sel, true), Lit::make(in, true), Lit::make(y)});
+        sink.add_clause(
+            {Lit::make(sel, true), Lit::make(in), Lit::make(y, true)});
       }
     }
-    keys.selectors.push_back(std::move(sel));
-  }
-  return keys;
-}
-
-/// Encodes one circuit copy with the routing components replaced by the
-/// one-hot layer. Returns node -> var.
-std::vector<Var> encode_onehot_copy(
-    Solver& solver, const Netlist& locked,
-    const std::vector<RoutingComponent>& components,
-    const std::vector<NodeId>& plain_key_inputs,
-    const std::unordered_map<NodeId, Var>& bound, const OnehotKeys& keys) {
-  // Classify nodes.
-  enum class Role : std::uint8_t { kNormal, kInternal, kOutput };
-  std::vector<Role> role(locked.node_count(), Role::kNormal);
-  // For outputs: which component and row.
-  std::vector<std::pair<std::size_t, std::size_t>> out_pos(
-      locked.node_count(), {0, 0});
-  for (std::size_t c = 0; c < components.size(); ++c) {
-    for (NodeId mux : components[c].members) role[mux] = Role::kInternal;
-    for (std::size_t o = 0; o < components[c].outputs.size(); ++o) {
-      role[components[c].outputs[o]] = Role::kOutput;
-      out_pos[components[c].outputs[o]] = {c, o};
-    }
+    return node_var;
   }
 
-  std::vector<Var> node_var(locked.node_count(), sat::kNoVar);
-  for (const auto& [node, var] : bound) node_var[node] = var;
-  for (std::size_t i = 0; i < plain_key_inputs.size(); ++i) {
-    node_var[plain_key_inputs[i]] = keys.plain[i];
-  }
-
-  for (NodeId id : locked.topological_order()) {
-    if (role[id] == Role::kInternal) continue;  // replaced wholesale
-    if (node_var[id] == sat::kNoVar) node_var[id] = solver.new_var();
-    if (role[id] == Role::kNormal) {
-      // Routing key inputs are plain inputs here but unconstrained/unused.
-      cnf::encode_node(solver, locked, id, node_var);
-      continue;
-    }
-    // One-hot output: y = in_i when sel[o][i].
-    const auto [c, o] = out_pos[id];
-    const RoutingComponent& component = components[c];
-    const std::size_t n_in = component.inputs.size();
-    const Var y = node_var[id];
-    for (std::size_t i = 0; i < n_in; ++i) {
-      const Var sel = keys.selectors[c][o * n_in + i];
-      // The one-hot layer lets any output select any input, including an
-      // input the topological walk has not reached yet (in a chained
-      // network it can depend on another output). Create its variable
-      // now; its gate is encoded when the walk reaches it.
-      Var& in = node_var[component.inputs[i]];
-      if (in == sat::kNoVar) in = solver.new_var();
-      solver.add_clause(
-          {Lit::make(sel, true), Lit::make(in, true), Lit::make(y)});
-      solver.add_clause(
-          {Lit::make(sel, true), Lit::make(in), Lit::make(y, true)});
-    }
-  }
-  return node_var;
-}
-
-void add_io_constraint_onehot(
-    Solver& solver, const Netlist& locked,
-    const std::vector<RoutingComponent>& components,
-    const std::vector<NodeId>& plain_key_inputs,
-    const std::vector<NodeId>& data_inputs, const OnehotKeys& keys,
-    const std::vector<bool>& dip, const std::vector<bool>& response) {
-  const auto node_var =
-      encode_onehot_copy(solver, locked, components, plain_key_inputs, {},
-                         keys);
-  for (std::size_t i = 0; i < data_inputs.size(); ++i) {
-    solver.add_clause({Lit::make(node_var[data_inputs[i]], !dip[i])});
-  }
-  const auto& outputs = locked.outputs();
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    solver.add_clause({Lit::make(node_var[outputs[i]], !response[i])});
-  }
-}
+  const Netlist& locked_;
+  const std::vector<RoutingComponent>& components_;
+  std::vector<NodeId> plain_key_inputs_;
+  std::vector<NodeId> data_inputs_;
+  std::vector<Role> role_;
+  /// For one-hot outputs: component and row.
+  std::vector<std::pair<std::size_t, std::size_t>> out_pos_;
+  /// Per component: where its selector matrix starts in a key bundle.
+  std::vector<std::size_t> offset_;
+};
 
 }  // namespace
 
 OnehotAttackResult run_sat_attack_onehot(const Netlist& locked,
                                          QueryOracle& oracle,
                                          const SatAttackOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
-  auto elapsed = [&] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  };
-
   OnehotAttackResult result;
   const auto components = find_routing_networks(locked);
   result.components = components.size();
@@ -337,109 +376,14 @@ OnehotAttackResult run_sat_attack_onehot(const Netlist& locked,
       result.plain_key_inputs.push_back(key);
     }
   }
-  const auto data_inputs = locked.data_inputs();
 
-  // Miter solver with two one-hot key bundles sharing X.
-  Solver miter;
-  std::vector<Var> x_vars;
-  for (std::size_t i = 0; i < data_inputs.size(); ++i) {
-    x_vars.push_back(miter.new_var());
-  }
-  std::unordered_map<NodeId, Var> bound_x;
-  for (std::size_t i = 0; i < data_inputs.size(); ++i) {
-    bound_x.emplace(data_inputs[i], x_vars[i]);
-  }
-  const OnehotKeys keys1 =
-      make_onehot_keys(miter, result.plain_key_inputs.size(), components);
-  const OnehotKeys keys2 =
-      make_onehot_keys(miter, result.plain_key_inputs.size(), components);
-  const auto vars1 = encode_onehot_copy(miter, locked, components,
-                                        result.plain_key_inputs, bound_x,
-                                        keys1);
-  const auto vars2 = encode_onehot_copy(miter, locked, components,
-                                        result.plain_key_inputs, bound_x,
-                                        keys2);
-  std::vector<Var> out1;
-  std::vector<Var> out2;
-  for (NodeId id : locked.outputs()) {
-    out1.push_back(vars1[id]);
-    out2.push_back(vars2[id]);
-  }
-  cnf::encode_miter(miter, out1, out2);
-
-  Solver key_solver;
-  const OnehotKeys key_keys = make_onehot_keys(
-      key_solver, result.plain_key_inputs.size(), components);
-
-  while (true) {
-    if (options.max_iterations != 0 &&
-        result.iterations >= options.max_iterations) {
-      result.status = SatAttackStatus::kIterationLimit;
-      break;
-    }
-    if (options.time_limit_seconds > 0) {
-      const double remaining = options.time_limit_seconds - elapsed();
-      if (remaining <= 0) {
-        result.status = SatAttackStatus::kTimeout;
-        break;
-      }
-      miter.set_limits({.time_limit_seconds = remaining});
-    }
-    const sat::Result r = miter.solve();
-    if (r == sat::Result::kUnknown) {
-      result.status = SatAttackStatus::kTimeout;
-      break;
-    }
-    if (r == sat::Result::kUnsat) {
-      if (options.time_limit_seconds > 0) {
-        key_solver.set_limits(
-            {.time_limit_seconds = options.time_limit_seconds - elapsed()});
-      }
-      const sat::Result kr = key_solver.solve();
-      if (kr == sat::Result::kSat) {
-        for (Var v : key_keys.plain) {
-          result.plain_key.push_back(key_solver.model_bool(v));
-        }
-        for (std::size_t c = 0; c < components.size(); ++c) {
-          const std::size_t n_in = components[c].inputs.size();
-          std::vector<std::size_t> choice(components[c].outputs.size(), 0);
-          for (std::size_t o = 0; o < choice.size(); ++o) {
-            for (std::size_t i = 0; i < n_in; ++i) {
-              if (key_solver.model_bool(key_keys.selectors[c][o * n_in + i])) {
-                choice[o] = i;
-              }
-            }
-          }
-          result.routing_choice.push_back(std::move(choice));
-        }
-        result.status = SatAttackStatus::kKeyFound;
-      } else if (kr == sat::Result::kUnsat) {
-        result.status = SatAttackStatus::kInconsistent;
-      } else {
-        result.status = SatAttackStatus::kTimeout;
-      }
-      break;
-    }
-
-    std::vector<bool> dip;
-    for (Var v : x_vars) dip.push_back(miter.model_bool(v));
-    const auto response = oracle.query(dip);
-    add_io_constraint_onehot(miter, locked, components,
-                             result.plain_key_inputs, data_inputs, keys1,
-                             dip, response);
-    add_io_constraint_onehot(miter, locked, components,
-                             result.plain_key_inputs, data_inputs, keys2,
-                             dip, response);
-    add_io_constraint_onehot(key_solver, locked, components,
-                             result.plain_key_inputs, data_inputs, key_keys,
-                             dip, response);
-    ++result.iterations;
-  }
-
-  result.seconds = elapsed();
-  result.conflicts = miter.stats().conflicts;
+  OnehotEncoding encoding(locked, components, result.plain_key_inputs);
+  engine::DipLoop loop(locked, oracle, options, encoding);
+  result.status = loop.run();
+  loop.finish(result);
 
   if (result.status == SatAttackStatus::kKeyFound) {
+    encoding.decode(loop.key(), result);
     // Reconstruct: hardwire the recovered routing, fix the plain keys.
     Netlist rebuilt = locked;
     for (std::size_t c = 0; c < components.size(); ++c) {

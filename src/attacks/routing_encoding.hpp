@@ -44,11 +44,10 @@ struct RoutingComponent {
 std::vector<RoutingComponent> find_routing_networks(
     const netlist::Netlist& locked);
 
-struct OnehotAttackResult {
+/// The shared DIP-loop statistics (certificate, solve log, conflicts, ...)
+/// plus what the one-hot view recovered.
+struct OnehotAttackResult : DipLoopStats {
   SatAttackStatus status = SatAttackStatus::kTimeout;
-  std::size_t iterations = 0;
-  double seconds = 0.0;
-  std::uint64_t conflicts = 0;
   std::size_t components = 0;
   std::size_t routing_key_bits_replaced = 0;
   std::size_t selector_bits = 0;
@@ -64,7 +63,10 @@ struct OnehotAttackResult {
   netlist::Netlist reconstructed;
 };
 
-/// SAT attack with the routing networks re-encoded one-hot.
+/// SAT attack with the routing networks re-encoded one-hot: the SAT
+/// attack's engine::DipLoop over a one-hot encoding, so every
+/// SatAttackOptions field except the miter-skeleton hooks applies. The
+/// recovered key bundle is canonicalized like the SAT attack's key.
 OnehotAttackResult run_sat_attack_onehot(const netlist::Netlist& locked,
                                          QueryOracle& oracle,
                                          const SatAttackOptions& options = {});

@@ -7,7 +7,8 @@
 // remains, and any key consistent with the collected I/O pairs (extracted
 // from a parallel key-determination solver) unlocks the circuit -- provided
 // the oracle answered with the true function. Scan-Enable obfuscation and
-// dynamic morphing break exactly that premise.
+// dynamic morphing break exactly that premise. The loop itself is
+// engine::DipLoop, which AppSAT and the one-hot routing attack share.
 #pragma once
 
 #include <atomic>
@@ -24,6 +25,21 @@
 
 namespace ril::attacks {
 
+/// When the miter and key-determination formulas go through SatELite-style
+/// preprocessing before their first solve.
+enum class PreprocessMode {
+  kOff,
+  /// Only on hosts of at least kPreprocessAutoMinGates gates: large-host
+  /// miters are where BVE/subsumption pay for themselves (see
+  /// docs/SCALING.md).
+  kAuto,
+  kOn,
+};
+inline constexpr std::size_t kPreprocessAutoMinGates = 100000;
+
+/// Options shared by every DIP-loop attack: the SAT attack, AppSAT
+/// (AppSatOptions adds its settle-step fields) and the one-hot routing
+/// attack. Each field means the same thing for all three.
 struct SatAttackOptions {
   /// Whole-attack wall-clock budget in seconds; <= 0 means unlimited.
   double time_limit_seconds = 0.0;
@@ -36,21 +52,10 @@ struct SatAttackOptions {
   /// Base seed for portfolio diversification (irrelevant when jobs == 1).
   std::uint64_t portfolio_seed = 1;
   /// When true, every portfolio solve is appended to
-  /// SatAttackResult::solve_log (per-solve JSON stats in the CLI/bench).
+  /// DipLoopStats::solve_log (per-solve JSON stats in the CLI/bench).
   bool record_solves = false;
-  /// Canonicalize the extracted key to the lexicographically smallest
-  /// consistent one. At miter-UNSAT the consistent-key set equals the set
-  /// of functionally correct keys regardless of which DIPs were sampled,
-  /// so the canonical key is identical across jobs counts and portfolio
-  /// races. Costs one cheap assumption-solve per key bit.
-  bool canonical_key = true;
-  /// Encode each I/O constraint over the DIP-specialized key cone instead
-  /// of re-encoding the whole circuit (engine::DipConstraintEncoder).
-  /// Same verdict and canonical key, typically an order of magnitude fewer
-  /// clauses per DIP; false reproduces the historical encoding bit-for-bit.
-  bool specialize_dips = true;
   /// Optional caller-owned cancellation flag: raise it from any thread to
-  /// unwind the attack cooperatively (reported as kTimeout).
+  /// unwind the attack cooperatively (reported as a timeout).
   const std::atomic<bool>* cancel = nullptr;
   /// Certify the verdict: every miter-portfolio member streams a binary
   /// DRAT trace to disk (sat::FileProofTracer temps next to the
@@ -63,15 +68,16 @@ struct SatAttackOptions {
   bool certify = false;
   /// With certify: where the certificate is published. Set, the winner's
   /// trace is atomically published as `proof_file` and
-  /// SatAttackResult::{proof_path, proof_bytes} are filled; if the attack
-  /// stops before miter-UNSAT (timeout, iteration cap), the trace is still
-  /// published as an *open* certificate -- every step RUP-checks against
-  /// the axioms but no empty clause lands -- validated with
-  /// sat::check_derivations_file and reported as ProofStatus::kOpen.
-  /// Empty (the default), the certificate goes to a private, uniquely
-  /// named file under std::filesystem::temp_directory_path() that is
-  /// removed once checked; proof_path stays empty, and a run that stops
-  /// before miter-UNSAT reports ProofStatus::kMissing.
+  /// DipLoopStats::{proof_path, proof_bytes} are filled; if the attack
+  /// stops before miter-UNSAT (timeout, iteration cap, AppSAT's
+  /// approximate exit), the trace is still published as an *open*
+  /// certificate -- every step RUP-checks against the axioms but no empty
+  /// clause lands -- validated with sat::check_derivations_file and
+  /// reported as ProofStatus::kOpen. Empty (the default), the certificate
+  /// goes to a private, uniquely named file under
+  /// std::filesystem::temp_directory_path() that is removed once checked;
+  /// proof_path stays empty, and a run that stops before miter-UNSAT
+  /// reports ProofStatus::kMissing.
   std::string proof_file;
   /// SatELite-style preprocessing (subsumption, self-subsuming resolution,
   /// bounded variable elimination) of the miter and key-determination
@@ -79,18 +85,10 @@ struct SatAttackOptions {
   /// so DIP extraction, I/O constraints, and key canonicalization keep
   /// working; composes with certify (elimination steps are replayed into
   /// the DRAT trace). On by default since the Table-5 bench medians
-  /// confirmed a net win at every scale (see BENCH_solver.json); set
-  /// false (CLI --no-preprocess) to recover the historical bit-identical
-  /// --jobs 1 search trajectory.
-  bool preprocess = true;
-  /// Auto-enable preprocessing at scale: when `preprocess` is false but
-  /// the locked netlist has at least `preprocess_auto_min_gates` gates,
-  /// the miter and key formulas are preprocessed anyway -- large-host
-  /// miters are where BVE/subsumption pay for themselves (see
-  /// docs/SCALING.md). Set false together with `preprocess` (CLI
-  /// --no-preprocess clears both) to force preprocessing off.
-  bool preprocess_auto = true;
-  std::size_t preprocess_auto_min_gates = 100000;
+  /// confirmed a net win at every scale (see BENCH_solver.json); kOff (CLI
+  /// --no-preprocess) recovers the historical bit-identical --jobs 1
+  /// search trajectory.
+  PreprocessMode preprocess = PreprocessMode::kOn;
   /// Restart-time inprocessing (sat/inprocess.hpp: clause vivification,
   /// learned-clause subsumption, failed-literal probing with hyper-binary
   /// resolution) inside every miter / key portfolio member. Scheduled off
@@ -99,7 +97,8 @@ struct SatAttackOptions {
   /// derivation reaches the DRAT stream). Orthogonal to `preprocess`
   /// (CLI --no-inprocess turns only this off).
   bool inprocess = true;
-  /// CNF-skeleton cache hooks (the `ril serve` daemon's level-2 cache).
+  /// CNF-skeleton cache hooks (the `ril serve` daemon's level-2 cache) for
+  /// the plain miter encoding; the one-hot attack ignores them.
   /// When `miter_skeleton` is set, the miter formula is replayed from the
   /// capture instead of re-encoding `locked` -- bit-identical variables and
   /// clauses, so the verdict, key, iteration count, and conflicts are
@@ -138,18 +137,15 @@ enum class SatAttackStatus {
   kInconsistent,   ///< no key matches the collected I/O pairs (morphing)
 };
 
-struct SatAttackResult {
-  SatAttackStatus status = SatAttackStatus::kTimeout;
-  std::vector<bool> key;          ///< valid iff status == kKeyFound
+/// What every DIP-loop attack reports besides its status and key.
+struct DipLoopStats {
   std::size_t iterations = 0;     ///< DIPs used
   double seconds = 0.0;
   /// CDCL conflicts across all miter-portfolio members (equals the single
   /// miter solver's conflicts when jobs == 1).
   std::uint64_t conflicts = 0;
-  /// Total I/O-constraint clauses added across the run, and the clauses a
-  /// full re-encoding would have added on top (0 unless specialize_dips).
+  /// Total I/O-constraint clauses added across the run.
   std::size_t encoded_clauses = 0;
-  std::size_t saved_clauses = 0;
   /// Per-solve portfolio stats; filled when options.record_solves is set.
   std::vector<SolveRecord> solve_log;
   /// --- certification (options.certify) ---------------------------------
@@ -173,6 +169,15 @@ struct SatAttackResult {
   /// `inprocess` then aggregates the miter members' counters.
   bool inprocessed = false;
   sat::InprocessStats inprocess;
+};
+
+struct SatAttackResult : DipLoopStats {
+  SatAttackStatus status = SatAttackStatus::kTimeout;
+  /// Valid iff status == kKeyFound: the lexicographically smallest
+  /// consistent key. At miter-UNSAT every consistent key is functionally
+  /// correct, so this one does not depend on the DIP order (hence not on
+  /// the jobs count or a portfolio race).
+  std::vector<bool> key;
 };
 
 std::string to_string(SatAttackStatus status);

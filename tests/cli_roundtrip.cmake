@@ -7,6 +7,20 @@ function(run)
     message(FATAL_ERROR "command failed (${rc}): ${ARGV}\n${out}\n${err}")
   endif()
   message(STATUS "${out}")
+  set(run_output "${out}" PARENT_SCOPE)
+endfunction()
+
+# Re-validates the certificate the last run() published at `path`: as a
+# refutation when the attack reached miter-UNSAT, as an open certificate
+# when it stopped first.
+function(check_published_certificate path)
+  if(run_output MATCHES "certificate: valid")
+    run(${RIL_BIN} check-proof ${path})
+  elseif(run_output MATCHES "certificate: open")
+    run(${RIL_BIN} check-proof --open ${path})
+  else()
+    message(FATAL_ERROR "no checked certificate published:\n${run_output}")
+  endif()
 endfunction()
 
 # Expects a nonzero exit and an error message on stderr (the CLI must fail
@@ -43,8 +57,11 @@ run(${RIL_BIN} lock ril host.bench locked.bench key.txt
 run(${RIL_BIN} unlock locked.bench key.txt activated.bench)
 run(${RIL_BIN} analyze locked.bench key.txt)
 run(${RIL_BIN} attack sat locked.bench activated.bench --timeout 30)
-run(${RIL_BIN} attack sat locked.bench activated.bench --timeout 30
-    --no-specialize)
+# AppSAT runs on the SAT attack's DIP loop, so --certify/--proof certify
+# it the same way.
+run(${RIL_BIN} attack appsat locked.bench activated.bench --timeout 30
+    --certify --proof appsat.drat)
+check_published_certificate(appsat.drat)
 run(${RIL_BIN} attack removal locked.bench activated.bench)
 
 # Error hardening: corrupt and missing inputs exit nonzero with a one-line
@@ -57,6 +74,9 @@ expect_fail(${RIL_BIN} analyze does_not_exist.bench key.txt)
 expect_fail(${RIL_BIN} lock nosuchscheme host.bench out.bench key2.txt)
 expect_fail(${RIL_BIN} frobnicate host.bench)
 expect_fail(${RIL_BIN} attack sat locked.bench activated.bench --timeout)
+# The full-circuit DIP encoding and its flag are gone.
+expect_fail(${RIL_BIN} attack sat locked.bench activated.bench
+            --no-specialize EXPECT_RC 2)
 
 # Certified attack with a streamed on-disk proof, re-validated offline.
 run(${RIL_BIN} lock xor host.bench locked_xor.bench key_xor.txt
@@ -65,6 +85,15 @@ run(${RIL_BIN} unlock locked_xor.bench key_xor.txt activated_xor.bench)
 run(${RIL_BIN} attack sat locked_xor.bench activated_xor.bench --timeout 60
     --proof miter.drat)
 run(${RIL_BIN} check-proof miter.drat)
+
+# The one-hot routing attack is certified on the same DIP loop too.
+run(${RIL_BIN} lock routing host.bench locked_routing.bench key_routing.txt
+    --size 8 --seed 3)
+run(${RIL_BIN} unlock locked_routing.bench key_routing.txt
+    activated_routing.bench)
+run(${RIL_BIN} attack onehot locked_routing.bench activated_routing.bench
+    --timeout 60 --certify --proof onehot.drat)
+check_published_certificate(onehot.drat)
 
 # check-proof diagnostics: each failure class has its own exit code
 # (2 usage, 3 missing, 4 empty, 5 malformed, 1 invalid proof).

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "attacks/metrics.hpp"
 #include "benchgen/random_dag.hpp"
+#include "cancelling_oracle.hpp"
 #include "cnf/equivalence.hpp"
 #include "locking/schemes.hpp"
 
@@ -115,6 +118,24 @@ TEST(AppSat, FailsAgainstScanObfuscatedOracle) {
   }
   ASSERT_GE(runs, 2u);
   EXPECT_GE(wrong, 1u);
+}
+
+TEST(AppSat, CancelMidRunStopsPromptly) {
+  // The flag goes up while the second DIP is answered; the loop must stop
+  // before its next miter solve and report a timeout.
+  const Netlist host = host_circuit(8);
+  core::RilBlockConfig config;
+  config.size = 8;
+  const auto ril = locking::lock_ril(host, 2, config, 88);
+  Oracle inner(ril.locked.netlist, ril.locked.key);
+  std::atomic<bool> cancel{false};
+  CancellingOracle oracle(inner, cancel, 2);
+  AppSatOptions options;
+  options.cancel = &cancel;
+  const auto result = run_appsat(ril.locked.netlist, oracle, options);
+  EXPECT_EQ(result.status, AppSatStatus::kTimeout);
+  EXPECT_EQ(result.iterations, 2u);
+  EXPECT_TRUE(result.key.empty());
 }
 
 TEST(AppSat, StatusStrings) {

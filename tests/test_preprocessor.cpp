@@ -430,10 +430,9 @@ TEST(SatAttackPreprocess, SameKeySameVerdict) {
   attacks::Oracle oracle_b(locked.netlist, locked.key);
 
   attacks::SatAttackOptions off;
-  off.preprocess = false;  // defaults flipped on; this test compares the two
-  off.preprocess_auto = false;
+  off.preprocess = attacks::PreprocessMode::kOff;  // the default is kOn
   attacks::SatAttackOptions on;
-  on.preprocess = true;
+  on.preprocess = attacks::PreprocessMode::kOn;
   const attacks::SatAttackResult r_off =
       attacks::run_sat_attack(locked.netlist, oracle_a, off);
   const attacks::SatAttackResult r_on =
@@ -450,6 +449,20 @@ TEST(SatAttackPreprocess, SameKeySameVerdict) {
           .equivalent());
 }
 
+TEST(SatAttackPreprocess, AutoModeWaitsForLargeHosts) {
+  // kAuto preprocesses only hosts of kPreprocessAutoMinGates gates or more.
+  const netlist::Netlist host = host_circuit(8);
+  const locking::LockedCircuit locked = locking::lock_xor(host, 8, 88);
+  ASSERT_LT(locked.netlist.gate_count(), attacks::kPreprocessAutoMinGates);
+  attacks::Oracle oracle(locked.netlist, locked.key);
+  attacks::SatAttackOptions options;
+  options.preprocess = attacks::PreprocessMode::kAuto;
+  const attacks::SatAttackResult result =
+      attacks::run_sat_attack(locked.netlist, oracle, options);
+  ASSERT_EQ(result.status, attacks::SatAttackStatus::kKeyFound);
+  EXPECT_FALSE(result.preprocessed);
+}
+
 TEST(SatAttackPreprocess, CertifiedAttackStillValidates) {
   const netlist::Netlist host = host_circuit(9);
   const locking::LockedCircuit locked = locking::lock_xor(host, 8, 99);
@@ -457,7 +470,7 @@ TEST(SatAttackPreprocess, CertifiedAttackStillValidates) {
 
   const proof_test::ScratchPath path("prep-attack.drat");
   attacks::SatAttackOptions options;
-  options.preprocess = true;
+  options.preprocess = attacks::PreprocessMode::kOn;
   options.certify = true;
   options.proof_file = path.str();
   const attacks::SatAttackResult result =

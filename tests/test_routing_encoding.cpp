@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "attacks/oracle.hpp"
+#include "cancelling_oracle.hpp"
 #include "benchgen/random_dag.hpp"
 #include "cnf/equivalence.hpp"
 #include "locking/schemes.hpp"
@@ -99,6 +102,26 @@ TEST(RoutingEncoding, RoutingChoiceIsInjectiveOnTerminalNetworks) {
     EXPECT_FALSE(used[choice]) << "port selected twice";
     used[choice] = true;
   }
+}
+
+TEST(RoutingEncoding, CancelMidRunStopsPromptly) {
+  // The one-hot attack honours SatAttackOptions::cancel like the SAT
+  // attack: the flag goes up while the second DIP is answered, and the
+  // loop stops before its next miter solve.
+  const Netlist host = host_circuit(7);
+  core::RilBlockConfig config;
+  config.size = 8;
+  config.output_network = true;
+  const auto ril = locking::lock_ril(host, 3, config, 47);
+  Oracle inner(ril.locked.netlist, ril.locked.key);
+  std::atomic<bool> cancel{false};
+  CancellingOracle oracle(inner, cancel, 2);
+  SatAttackOptions options;
+  options.cancel = &cancel;
+  const auto result =
+      run_sat_attack_onehot(ril.locked.netlist, oracle, options);
+  EXPECT_EQ(result.status, SatAttackStatus::kTimeout);
+  EXPECT_EQ(result.iterations, 2u);
 }
 
 TEST(RoutingEncoding, TimeoutReported) {

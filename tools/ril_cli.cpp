@@ -12,35 +12,35 @@
 //       carries the oracle scan key).
 //
 //   ril attack <method> <locked.bench> <activated.bench> [--timeout S]
-//              [--jobs N | --portfolio] [--stats out.json] [--no-specialize]
-//              [--no-preprocess] [--no-inprocess]
+//              [--jobs N | --portfolio] [--stats out.json]
+//              [--max-iterations N] [--no-preprocess] [--no-inprocess]
 //              [--certify [--proof out.drat]]
 //       Methods: sat | appsat | onehot | removal | sps | bypass. The
 //       activated netlist (no key inputs) acts as the oracle. Prints the
 //       result and, when a key is recovered, verifies it by SAT CEC.
-//       --jobs N races N diversified CDCL configurations per solve
-//       (first-to-finish-wins, losers cancelled); --portfolio uses all
-//       hardware threads; --stats writes per-solve JSON records (seed,
-//       winning configuration, conflicts, wall time, constraint clause
-//       costs); --no-specialize reverts the SAT/AppSAT I/O constraints to
-//       the historical full-circuit re-encoding. SatELite-style
-//       preprocessing (subsumption, self-subsuming resolution, bounded
-//       variable elimination) of the miter and key formulas and
-//       restart-time inprocessing (clause vivification, learned-clause
-//       subsumption, failed-literal probing) inside the solvers are both
-//       on by default; --no-preprocess and --no-inprocess turn them off
-//       independently. --certify
-//       (sat only) DRAT-logs every miter solve, streaming each trace to
-//       disk as binary DRAT (bounded memory), self-checks SAT models, and
-//       validates the final UNSAT certificate with the independent RUP
-//       checker. --proof publishes the certificate under the given path
-//       (atomic temp+rename) for offline `ril check-proof`; without it the
+//       sat, appsat and onehot run the same DIP loop, so every option
+//       below means the same for all three. --jobs N races N diversified
+//       CDCL configurations per solve (first-to-finish-wins, losers
+//       cancelled); --portfolio uses all hardware threads; --stats writes
+//       per-solve JSON records (seed, winning configuration, conflicts,
+//       wall time, constraint clause costs); --max-iterations caps the
+//       DIPs. SatELite-style preprocessing (subsumption, self-subsuming
+//       resolution, bounded variable elimination) of the miter and key
+//       formulas and restart-time inprocessing (clause vivification,
+//       learned-clause subsumption, failed-literal probing) inside the
+//       solvers are both on by default; --no-preprocess and
+//       --no-inprocess turn them off independently. --certify DRAT-logs
+//       every miter solve, streaming each trace to disk as binary DRAT
+//       (bounded memory), self-checks SAT models, and validates the final
+//       UNSAT certificate with the independent RUP checker. --proof
+//       publishes the certificate under the given path (atomic
+//       temp+rename) for offline `ril check-proof`; without it the
 //       certificate is a private temp file removed once checked. A run
-//       that stops before miter-UNSAT (timeout, --max-iterations) still
-//       publishes its --proof trace as an open certificate for
-//       `ril check-proof --open`. Preprocessing and inprocessing compose
-//       with --certify: elimination, vivification, and probing steps are
-//       all emitted into the trace.
+//       that stops before miter-UNSAT (timeout, --max-iterations,
+//       AppSAT's approximate exit) still publishes its --proof trace as an
+//       open certificate for `ril check-proof --open`. Preprocessing and
+//       inprocessing compose with --certify: elimination, vivification,
+//       and probing steps are all emitted into the trace.
 //
 //   ril check-proof <trace.drat> [--open]
 //       Re-validate a previously written binary DRAT certificate with
@@ -122,7 +122,7 @@ using namespace ril;
                " --bits N --seed S]\n"
                "  ril attack <method> <locked.bench> <activated.bench>"
                " [--timeout S --jobs N --portfolio --stats out.json"
-               " --no-specialize --no-preprocess --no-inprocess --certify"
+               " --no-preprocess --no-inprocess --certify"
                " --proof out.drat --max-iterations N]\n"
                "  ril check-proof <trace.drat> [--open]\n"
                "  ril analyze <file.bench> [key.txt]\n"
@@ -153,13 +153,9 @@ struct Args {
   bool resume = false;
   bool output_net = false;
   bool scan = false;
-  bool specialize = true;
   /// Preprocessing is on by default at every scale (the Table-5 medians
   /// confirmed a net win); --no-preprocess forces it off.
   bool preprocess = true;
-  /// --no-preprocess clears this too, forcing preprocessing off even on
-  /// hosts above the auto-enable gate threshold.
-  bool preprocess_auto = true;
   /// Restart-time inprocessing inside the solvers; --no-inprocess turns it
   /// off independently of --no-preprocess.
   bool inprocess = true;
@@ -195,12 +191,8 @@ Args parse(int argc, char** argv) {
     else if (arg == "--stats") args.stats_path = value();
     else if (arg == "--output-net") args.output_net = true;
     else if (arg == "--scan") args.scan = true;
-    else if (arg == "--no-specialize") args.specialize = false;
     else if (arg == "--preprocess") args.preprocess = true;
-    else if (arg == "--no-preprocess") {
-      args.preprocess = false;
-      args.preprocess_auto = false;
-    }
+    else if (arg == "--no-preprocess") args.preprocess = false;
     else if (arg == "--inprocess") args.inprocess = true;
     else if (arg == "--no-inprocess") args.inprocess = false;
     else if (arg == "--certify") args.certify = true;
@@ -292,35 +284,9 @@ void print_portfolio_wins(const std::vector<attacks::SolveRecord>& log) {
   std::printf("\n");
 }
 
-/// Writes the attack-level + per-solve stats JSON shared by sat/appsat.
-void write_stats_file(const std::string& path, const char* attack,
-                      const Args& args, const std::string& status,
-                      std::size_t iterations, double seconds,
-                      std::uint64_t conflicts, std::size_t encoded_clauses,
-                      std::size_t saved_clauses,
-                      const std::vector<attacks::SolveRecord>& log,
-                      const std::string& extra_fields = "") {
-  std::ofstream stats(path);
-  if (!stats) usage(("cannot open stats file " + path).c_str());
-  stats << "{\"attack\":\"" << attack << "\",\"jobs\":" << args.jobs
-        << ",\"status\":\"" << status << "\",\"iterations\":" << iterations
-        << ",\"seconds\":" << seconds << ",\"conflicts\":" << conflicts
-        << ",\"encoded_clauses\":" << encoded_clauses
-        << ",\"saved_clauses\":" << saved_clauses
-        << ",\"preprocess\":" << (args.preprocess ? "true" : "false")
-        << ",\"inprocess\":" << (args.inprocess ? "true" : "false")
-        << extra_fields << ",\"solves\":[\n";
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    stats << attacks::solve_record_json(log[i])
-          << (i + 1 < log.size() ? ",\n" : "\n");
-  }
-  stats << "]}\n";
-  std::printf("per-solve stats -> %s\n", path.c_str());
-}
-
 /// JSON fragment describing the certification outcome. Empty unless the
 /// attack was run with --certify so the legacy telemetry shape is untouched.
-std::string certification_fields(const attacks::SatAttackResult& result) {
+std::string certification_fields(const attacks::DipLoopStats& result) {
   if (result.proof_status == attacks::ProofStatus::kNotRequested) return "";
   return ",\"proof\":\"" + attacks::to_string(result.proof_status) +
          "\",\"proof_steps\":" + std::to_string(result.proof_steps) +
@@ -330,7 +296,7 @@ std::string certification_fields(const attacks::SatAttackResult& result) {
 
 /// JSON fragment with the aggregated inprocessing counters. Empty when the
 /// attack ran with --no-inprocess, keeping the legacy telemetry shape.
-std::string inprocess_fields(const attacks::SatAttackResult& result) {
+std::string inprocess_fields(const attacks::DipLoopStats& result) {
   if (!result.inprocessed) return "";
   const sat::InprocessStats& s = result.inprocess;
   return ",\"inprocess_passes\":" + std::to_string(s.passes) +
@@ -339,6 +305,83 @@ std::string inprocess_fields(const attacks::SatAttackResult& result) {
          std::to_string(s.subsumed_clauses + s.strengthened_clauses) +
          ",\"failed_literals\":" + std::to_string(s.failed_literals) +
          ",\"hyper_binaries\":" + std::to_string(s.hyper_binaries);
+}
+
+/// Writes the attack-level + per-solve stats JSON of a DIP-loop attack.
+void write_stats_file(const std::string& path, const char* attack,
+                      const Args& args, const std::string& status,
+                      const attacks::DipLoopStats& result) {
+  std::ofstream stats(path);
+  if (!stats) usage(("cannot open stats file " + path).c_str());
+  stats << "{\"attack\":\"" << attack << "\",\"jobs\":" << args.jobs
+        << ",\"status\":\"" << status
+        << "\",\"iterations\":" << result.iterations
+        << ",\"seconds\":" << result.seconds
+        << ",\"conflicts\":" << result.conflicts
+        << ",\"encoded_clauses\":" << result.encoded_clauses
+        << ",\"preprocess\":" << (args.preprocess ? "true" : "false")
+        << ",\"inprocess\":" << (args.inprocess ? "true" : "false")
+        << certification_fields(result) << inprocess_fields(result)
+        << ",\"solves\":[\n";
+  const auto& log = result.solve_log;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    stats << attacks::solve_record_json(log[i])
+          << (i + 1 < log.size() ? ",\n" : "\n");
+  }
+  stats << "]}\n";
+  std::printf("per-solve stats -> %s\n", path.c_str());
+}
+
+/// Prints what every DIP-loop attack (sat, appsat, onehot) reports after
+/// its headline -- preprocessing, inprocessing, certificate, portfolio
+/// wins -- and writes the --stats file.
+void report_dip_attack(const char* attack, const Args& args,
+                       const std::string& status,
+                       const attacks::DipLoopStats& result) {
+  if (result.preprocessed) {
+    const sat::PreprocessStats& p = result.preprocess;
+    std::printf("preprocess: miter %zu -> %zu clauses, %zu -> %zu vars"
+                " (%zu eliminated, %zu subsumed, %zu strengthened)\n",
+                p.clauses_before, p.clauses_after, p.vars_before,
+                p.vars_after, p.eliminated_vars, p.subsumed_clauses,
+                p.strengthened_literals);
+  }
+  if (result.inprocessed && result.inprocess.passes > 0) {
+    const sat::InprocessStats& s = result.inprocess;
+    std::printf("inprocess: %llu passes, %llu vivified, %llu subsumed,"
+                " %llu failed literals, %llu hyper-binaries\n",
+                static_cast<unsigned long long>(s.passes),
+                static_cast<unsigned long long>(s.vivified_clauses),
+                static_cast<unsigned long long>(s.subsumed_clauses +
+                                                s.strengthened_clauses),
+                static_cast<unsigned long long>(s.failed_literals),
+                static_cast<unsigned long long>(s.hyper_binaries));
+  }
+  if (result.proof_status != attacks::ProofStatus::kNotRequested) {
+    std::printf("certificate: %s (%llu steps), models %s\n",
+                to_string(result.proof_status).c_str(),
+                static_cast<unsigned long long>(result.proof_steps),
+                result.models_verified ? "self-checked" : "UNSOUND");
+    if (!args.proof_path.empty()) {
+      if (!result.proof_path.empty()) {
+        std::printf("proof trace -> %s (%llu bytes, streamed)\n",
+                    result.proof_path.c_str(),
+                    static_cast<unsigned long long>(result.proof_bytes));
+        if (result.proof_status == attacks::ProofStatus::kOpen) {
+          std::printf("open certificate: validate with"
+                      " `ril check-proof --open %s`\n",
+                      result.proof_path.c_str());
+        }
+      } else {
+        std::printf("proof trace not written: no solver trace to"
+                    " publish\n");
+      }
+    }
+  }
+  print_portfolio_wins(result.solve_log);
+  if (!args.stats_path.empty()) {
+    write_stats_file(args.stats_path, attack, args, status, result);
+  }
 }
 
 int cmd_gen(const Args& args) {
@@ -432,9 +475,8 @@ int cmd_attack(const Args& args) {
     options.jobs = args.jobs;
     options.portfolio_seed = args.seed;
     options.record_solves = args.jobs > 1 || !args.stats_path.empty();
-    options.specialize_dips = args.specialize;
-    options.preprocess = args.preprocess;
-    options.preprocess_auto = args.preprocess_auto;
+    options.preprocess = args.preprocess ? attacks::PreprocessMode::kOn
+                                         : attacks::PreprocessMode::kOff;
     options.inprocess = args.inprocess;
     options.certify = args.certify || !args.proof_path.empty();
     // --proof names the published certificate; without it the attack
@@ -448,61 +490,7 @@ int cmd_attack(const Args& args) {
                   result.iterations,
                   static_cast<unsigned long long>(result.conflicts),
                   args.jobs);
-      if (result.preprocessed) {
-        const sat::PreprocessStats& p = result.preprocess;
-        std::printf("preprocess: miter %zu -> %zu clauses, %zu -> %zu vars"
-                    " (%zu eliminated, %zu subsumed, %zu strengthened)\n",
-                    p.clauses_before, p.clauses_after, p.vars_before,
-                    p.vars_after, p.eliminated_vars, p.subsumed_clauses,
-                    p.strengthened_literals);
-      }
-      if (result.inprocessed && result.inprocess.passes > 0) {
-        const sat::InprocessStats& s = result.inprocess;
-        std::printf("inprocess: %llu passes, %llu vivified, %llu subsumed,"
-                    " %llu failed literals, %llu hyper-binaries\n",
-                    static_cast<unsigned long long>(s.passes),
-                    static_cast<unsigned long long>(s.vivified_clauses),
-                    static_cast<unsigned long long>(s.subsumed_clauses +
-                                                    s.strengthened_clauses),
-                    static_cast<unsigned long long>(s.failed_literals),
-                    static_cast<unsigned long long>(s.hyper_binaries));
-      }
-      if (result.saved_clauses > 0) {
-        std::printf("constraint clauses: %zu encoded, %zu saved by cone"
-                    " specialization\n",
-                    result.encoded_clauses, result.saved_clauses);
-      }
-      if (options.certify) {
-        std::printf("certificate: %s (%llu steps), models %s\n",
-                    to_string(result.proof_status).c_str(),
-                    static_cast<unsigned long long>(result.proof_steps),
-                    result.models_verified ? "self-checked" : "UNSOUND");
-        if (!args.proof_path.empty()) {
-          if (!result.proof_path.empty()) {
-            std::printf("proof trace -> %s (%llu bytes, streamed)\n",
-                        result.proof_path.c_str(),
-                        static_cast<unsigned long long>(result.proof_bytes));
-            if (result.proof_status == attacks::ProofStatus::kOpen) {
-              std::printf("open certificate: validate with"
-                          " `ril check-proof --open %s`\n",
-                          result.proof_path.c_str());
-            }
-          } else {
-            std::printf("proof trace not written: no solver trace to"
-                        " publish\n");
-          }
-        }
-      }
-      print_portfolio_wins(result.solve_log);
-      if (!args.stats_path.empty()) {
-        write_stats_file(args.stats_path, "sat", args,
-                         to_string(result.status), result.iterations,
-                         result.seconds, result.conflicts,
-                         result.encoded_clauses, result.saved_clauses,
-                         result.solve_log,
-                         certification_fields(result) +
-                             inprocess_fields(result));
-      }
+      report_dip_attack("sat", args, to_string(result.status), result);
       if (result.status == attacks::SatAttackStatus::kKeyFound) {
         std::printf("recovered key: ");
         for (bool b : result.key) std::printf("%c", b ? '1' : '0');
@@ -511,11 +499,15 @@ int cmd_attack(const Args& args) {
     } else if (method == "onehot") {
       const auto result =
           attacks::run_sat_attack_onehot(locked, oracle, options);
-      std::printf("one-hot attack: %s in %.2fs, %zu DIPs "
-                  "(%zu routing components, %zu key bits -> %zu selectors)\n",
+      std::printf("one-hot attack: %s in %.2fs, %zu DIPs, %llu conflicts"
+                  " (%u jobs; %zu routing components, %zu key bits -> %zu"
+                  " selectors)\n",
                   to_string(result.status).c_str(), result.seconds,
-                  result.iterations, result.components,
+                  result.iterations,
+                  static_cast<unsigned long long>(result.conflicts),
+                  args.jobs, result.components,
                   result.routing_key_bits_replaced, result.selector_bits);
+      report_dip_attack("onehot", args, to_string(result.status), result);
       if (result.status == attacks::SatAttackStatus::kKeyFound) {
         sat::SolverLimits limits{.time_limit_seconds = args.timeout};
         const auto eq = cnf::check_equivalence(result.reconstructed,
@@ -524,14 +516,7 @@ int cmd_attack(const Args& args) {
                     eq.equivalent() ? "equivalent to oracle" : "NOT exact");
       }
     } else {
-      attacks::AppSatOptions appsat;
-      appsat.time_limit_seconds = args.timeout;
-      appsat.jobs = args.jobs;
-      appsat.portfolio_seed = args.seed;
-      appsat.record_solves = options.record_solves;
-      appsat.specialize_dips = args.specialize;
-      appsat.preprocess = args.preprocess;
-      appsat.inprocess = args.inprocess;
+      const attacks::AppSatOptions appsat{options};
       const auto result = attacks::run_appsat(locked, oracle, appsat);
       std::printf("appsat: %s in %.2fs, %zu DIPs, sampled error %.3f,"
                   " %llu conflicts (%u jobs)\n",
@@ -539,19 +524,7 @@ int cmd_attack(const Args& args) {
                   result.iterations, result.sampled_error,
                   static_cast<unsigned long long>(result.conflicts),
                   args.jobs);
-      if (result.saved_clauses > 0) {
-        std::printf("constraint clauses: %zu encoded, %zu saved by cone"
-                    " specialization\n",
-                    result.encoded_clauses, result.saved_clauses);
-      }
-      print_portfolio_wins(result.solve_log);
-      if (!args.stats_path.empty()) {
-        write_stats_file(args.stats_path, "appsat", args,
-                         to_string(result.status), result.iterations,
-                         result.seconds, result.conflicts,
-                         result.encoded_clauses, result.saved_clauses,
-                         result.solve_log);
-      }
+      report_dip_attack("appsat", args, to_string(result.status), result);
       if (!result.key.empty()) {
         std::printf("key check: %s\n", verify(result.key));
       }
@@ -754,16 +727,14 @@ std::string run_campaign_cell(const CampaignCell& cell, const Args& args,
            runtime::json_escape(cell.scheme) + "\",\"attack\":\"" +
            runtime::json_escape(cell.attack) + "\"";
   };
-  auto sat_telemetry = [](const attacks::SatAttackResult& result) {
-    char buffer[192];
+  auto dip_telemetry = [](const attacks::DipLoopStats& result) {
+    char buffer[160];
     std::snprintf(buffer, sizeof(buffer),
                   ",\"iterations\":%zu,\"conflicts\":%llu,"
-                  "\"encoded_clauses\":%zu,\"saved_clauses\":%zu,"
-                  "\"attack_seconds\":%.3f",
+                  "\"encoded_clauses\":%zu,\"attack_seconds\":%.3f",
                   result.iterations,
                   static_cast<unsigned long long>(result.conflicts),
-                  result.encoded_clauses, result.saved_clauses,
-                  result.seconds);
+                  result.encoded_clauses, result.seconds);
     return std::string(buffer) + certification_fields(result);
   };
   // A recovered key is deployed with the hidden SE bits inactive; it only
@@ -775,15 +746,16 @@ std::string run_campaign_cell(const CampaignCell& cell, const Args& args,
   };
 
   attacks::Oracle oracle(locked, oracle_key);
-  if (cell.attack == "sat" || cell.attack == "onehot") {
+  if (cell.attack == "sat" || cell.attack == "appsat" ||
+      cell.attack == "onehot") {
     attacks::SatAttackOptions options;
     options.time_limit_seconds = cell.timeout;
     options.jobs = args.solver_jobs;
     options.portfolio_seed = cell.seed;
     options.cancel = &ctx.cancel_flag();
     options.certify = args.certify;
-    options.preprocess = args.preprocess;
-    options.preprocess_auto = args.preprocess_auto;
+    options.preprocess = args.preprocess ? attacks::PreprocessMode::kOn
+                                         : attacks::PreprocessMode::kOff;
     options.inprocess = args.inprocess;
     // --proof-dir: stream each certified cell's miter certificate to
     // <dir>/<cell-key>.drat (cell keys are sanitized for the filesystem).
@@ -806,35 +778,23 @@ std::string run_campaign_cell(const CampaignCell& cell, const Args& args,
                                  sat::SolverLimits{.time_limit_seconds =
                                                        cell.timeout})
               .equivalent();
-      char buffer[96];
-      std::snprintf(buffer, sizeof(buffer),
-                    ",\"iterations\":%zu,\"attack_seconds\":%.3f",
-                    result.iterations, result.seconds);
-      return verdict_payload(broken ? "broken" : "resilient") + buffer;
+      return verdict_payload(broken ? "broken" : "resilient") +
+             dip_telemetry(result);
+    }
+    if (cell.attack == "appsat") {
+      attacks::AppSatOptions appsat{options};
+      appsat.max_iterations = 64;
+      const auto result = attacks::run_appsat(locked, oracle, appsat);
+      const bool broken = !result.key.empty() && breaks_scheme(result.key);
+      return verdict_payload(broken ? "broken" : "resilient") +
+             dip_telemetry(result);
     }
     const auto result = attacks::run_sat_attack(locked, oracle, options);
     const bool broken =
         result.status == attacks::SatAttackStatus::kKeyFound &&
         breaks_scheme(result.key);
     return verdict_payload(broken ? "broken" : "resilient") +
-           sat_telemetry(result);
-  }
-  if (cell.attack == "appsat") {
-    attacks::AppSatOptions options;
-    options.time_limit_seconds = cell.timeout;
-    options.jobs = args.solver_jobs;
-    options.portfolio_seed = cell.seed;
-    options.max_iterations = 64;
-    options.preprocess = args.preprocess;
-    options.inprocess = args.inprocess;
-    options.cancel = &ctx.cancel_flag();
-    const auto result = attacks::run_appsat(locked, oracle, options);
-    const bool broken = !result.key.empty() && breaks_scheme(result.key);
-    char buffer[96];
-    std::snprintf(buffer, sizeof(buffer),
-                  ",\"iterations\":%zu,\"attack_seconds\":%.3f",
-                  result.iterations, result.seconds);
-    return verdict_payload(broken ? "broken" : "resilient") + buffer;
+           dip_telemetry(result);
   }
   if (cell.attack == "removal") {
     const auto result = attacks::run_removal_attack(locked);
@@ -861,8 +821,9 @@ std::string run_campaign_cell(const CampaignCell& cell, const Args& args,
   throw std::runtime_error("unknown attack '" + cell.attack + "'");
 }
 
-/// Re-validates a DRAT certificate written by `ril attack sat --proof`,
-/// reading the binary trace from disk in one streaming pass.
+/// Re-validates a DRAT certificate written by `ril attack
+/// sat|appsat|onehot --proof`, reading the binary trace from disk in one
+/// streaming pass.
 /// --open drops the empty-clause requirement (open certificates from
 /// attacks that stopped before miter-UNSAT). Distinct exit codes keep
 /// failures scriptable: 0 valid, 1 invalid proof, 2 usage,
