@@ -85,7 +85,7 @@ BypassResult run_bypass_attack(const Netlist& locked, QueryOracle& oracle,
   // Miter between the two wrongly-keyed copies: every witness is an input
   // where at least one of them is corrupted.
   SolverPortfolio solver(options.jobs, options.portfolio_seed);
-  solver.set_external_stop(budget.stop_flag());
+  solver.set_limits(budget.limits());
   const engine::MiterContext ctx(locked, solver, k1, k2);
   const std::vector<Var>& x_vars = ctx.input_vars();
 

@@ -27,6 +27,7 @@ bool AttackBudget::expired() const {
 sat::SolverLimits AttackBudget::limits() const {
   sat::SolverLimits limits;
   if (limited()) limits.time_limit_seconds = remaining();
+  limits.cancel = cancel_;
   return limits;
 }
 

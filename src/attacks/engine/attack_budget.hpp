@@ -3,11 +3,11 @@
 //
 // Every SAT-family attack used to carry its own `elapsed()` lambda and its
 // own (or no) solve log. AttackBudget centralizes all of it: the attack
-// loop asks expired() between solves, hands limits() to the solver or
-// portfolio before each solve so an in-flight search respects the same
-// deadline, and wires stop_flag() into SolverPortfolio::set_external_stop
-// so a caller on another thread can cancel a long-running attack (the
-// attack then reports its timeout status). When recording is enabled, each
+// loop asks expired() between solves and hands limits() to the solver or
+// portfolio before each solve, so an in-flight search respects the same
+// deadline and the caller's cancellation flag, and a caller on another
+// thread can cancel a long-running attack (the attack then reports its
+// timeout status). When recording is enabled, each
 // portfolio solve and the clause cost of each encoded I/O constraint land
 // in the SolveRecord log that surfaces as per-solve JSON in the CLI and
 // bench stats files.
@@ -40,8 +40,8 @@ std::string solve_record_json(const SolveRecord& record);
 class AttackBudget {
  public:
   /// `time_limit_seconds` <= 0 means unlimited. `cancel` is an optional
-  /// caller-owned flag; raising it makes expired() true and (when wired
-  /// into the solver/portfolio via stop_flag()) unwinds in-flight solves.
+  /// caller-owned flag; raising it makes expired() true and unwinds every
+  /// in-flight solve that runs under limits().
   explicit AttackBudget(double time_limit_seconds,
                         const std::atomic<bool>* cancel = nullptr);
 
@@ -52,11 +52,9 @@ class AttackBudget {
   bool cancelled() const;
   /// Deadline passed or cancellation raised.
   bool expired() const;
-  /// Per-solve limits carrying the remaining deadline (no limit otherwise).
+  /// Per-solve limits carrying the remaining deadline (no limit otherwise)
+  /// and the caller's cancellation flag.
   sat::SolverLimits limits() const;
-  /// The cancellation flag to hand to SolverPortfolio::set_external_stop /
-  /// Solver::set_cancel_flag; may be null when the caller provided none.
-  const std::atomic<bool>* stop_flag() const { return cancel_; }
 
   // ----- per-solve stats ----------------------------------------------
   void enable_recording(bool on) { recording_ = on; }

@@ -60,7 +60,7 @@ DipLoop::DipLoop(const netlist::Netlist& locked, QueryOracle& oracle,
   const bool freeze = preprocess || options.inprocess;
 
   // Miter portfolio: shared X, independent K1 / K2 in every member.
-  miter_.set_external_stop(budget_.stop_flag());
+  miter_.set_limits(budget_.limits());
   // Certification: proof logging must precede the miter encoding so every
   // member's trace carries the full axiom stream. Only the miter verdict
   // is certified -- the UNSAT that terminates the DIP loop is the claim
@@ -82,7 +82,7 @@ DipLoop::DipLoop(const netlist::Netlist& locked, QueryOracle& oracle,
   }
 
   // Key-determination portfolio: one key bundle constrained by all DIPs.
-  key_solver_.set_external_stop(budget_.stop_flag());
+  key_solver_.set_limits(budget_.limits());
   if (preprocess) key_solver_.enable_preprocessing();
   if (options.inprocess) key_solver_.enable_inprocessing();
   key_vars_ = encoding_.make_key(key_solver_);

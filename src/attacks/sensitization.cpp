@@ -52,7 +52,6 @@ SensitizationResult run_sensitization_attack(
         // and differ across polarities (w.r.t. sample 0).
         Solver cand;
         cand.set_limits(budget.limits());
-        cand.set_cancel_flag(budget.stop_flag());
         const std::vector<Var> x_vars =
             engine::make_vars(cand, data_inputs.size());
         std::vector<Var> out0;
@@ -85,7 +84,6 @@ SensitizationResult run_sensitization_attack(
         for (int polarity = 0; polarity < 2 && golden; ++polarity) {
           Solver verify;
           verify.set_limits(budget.limits());
-          verify.set_cancel_flag(budget.stop_flag());
           const std::vector<Var> x_fixed = engine::make_fixed_vars(verify, x);
           // One copy with free rest keys.
           const engine::CircuitCopy copy =

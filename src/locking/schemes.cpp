@@ -353,4 +353,28 @@ RilLocked lock_ril(const Netlist& host, std::size_t num_blocks,
   return result;
 }
 
+std::optional<RilLocked> lock_by_name(const std::string& scheme,
+                                      const Netlist& host,
+                                      const LockParams& params) {
+  const std::uint64_t seed = params.seed;
+  RilLocked result;
+  if (scheme == "ril") {
+    core::RilBlockConfig config;
+    config.size = params.size;
+    config.lut_inputs = params.lut_inputs;
+    config.output_network = params.output_network;
+    config.scan_obfuscation = params.scan_obfuscation;
+    return lock_ril(host, params.blocks, config, seed);
+  }
+  if (scheme == "xor") result.locked = lock_xor(host, params.bits, seed);
+  else if (scheme == "sarlock") result.locked = lock_sarlock(host, params.bits, seed);
+  else if (scheme == "antisat") result.locked = lock_antisat(host, params.bits, seed);
+  else if (scheme == "sfll") result.locked = lock_sfll_hd0(host, params.bits, seed);
+  else if (scheme == "lut") result.locked = lock_lut(host, params.bits, seed);
+  else if (scheme == "fulllock") result.locked = lock_fulllock(host, params.size, seed);
+  else if (scheme == "routing") result.locked = lock_banyan_routing(host, params.size, seed);
+  else return std::nullopt;
+  return result;
+}
+
 }  // namespace ril::locking

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "core/ril_block.hpp"
 #include "locking/locked.hpp"
@@ -58,5 +60,26 @@ struct RilLocked {
 };
 RilLocked lock_ril(const netlist::Netlist& host, std::size_t num_blocks,
                    const core::RilBlockConfig& config, std::uint64_t seed);
+
+/// Knobs for lock_by_name. Each field is read only by the schemes named
+/// beside it; the CLI, the campaign runner and the service each pick their
+/// own defaults.
+struct LockParams {
+  std::size_t bits = 32;  ///< key width: xor, sarlock, antisat, sfll, lut
+  std::size_t size = 8;   ///< network size: fulllock, routing; block size: ril
+  std::size_t blocks = 1;            ///< ril
+  std::size_t lut_inputs = 2;        ///< ril
+  bool output_network = false;       ///< ril
+  bool scan_obfuscation = false;     ///< ril
+  std::uint64_t seed = 1;
+};
+
+/// Locks `host` with the scheme named `scheme`: "ril", "xor", "sarlock",
+/// "antisat", "sfll", "lut", "fulllock" or "routing". `locked.key` is the
+/// functional key; `info` is filled only for "ril". Returns nullopt for any
+/// other name, so each caller reports an unknown scheme its own way.
+std::optional<RilLocked> lock_by_name(const std::string& scheme,
+                                      const netlist::Netlist& host,
+                                      const LockParams& params);
 
 }  // namespace ril::locking

@@ -419,48 +419,48 @@ SolveOutcome SolverPortfolio::solve(const std::vector<Lit>& assumptions) {
     }
     Solver& solver = *solvers_[pick];
     solver.set_limits(limits_);
-    solver.set_cancel_flag(external_stop_);
     outcome.result = solver.solve(*effective);
-    solver.set_cancel_flag(nullptr);
     winner_index = static_cast<int>(pick);
   } else {
-    std::atomic<bool> cancel{false};
+    // The members poll one race flag: the first to decide raises it to
+    // stop the others, and the caller's own cancel token is relayed into it.
+    std::atomic<bool> race_flag{false};
+    sat::SolverLimits member_limits = limits_;
+    member_limits.cancel = &race_flag;
     std::atomic<int> claimed{-1};
     std::atomic<std::size_t> finished{0};
     std::vector<Result> results(n, Result::kUnknown);
     std::vector<std::thread> threads;
     threads.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      threads.emplace_back([this, i, effective, &cancel, &claimed,
-                            &results, &finished] {
+      threads.emplace_back([this, i, effective, &member_limits, &race_flag,
+                            &claimed, &results, &finished] {
         Solver& solver = *solvers_[i];
-        solver.set_limits(limits_);
-        solver.set_cancel_flag(&cancel);
+        solver.set_limits(member_limits);
         const Result r = solver.solve(*effective);
         results[i] = r;
         if (r != Result::kUnknown) {
           int expected = -1;
           if (claimed.compare_exchange_strong(expected,
                                               static_cast<int>(i))) {
-            cancel.store(true, std::memory_order_release);
+            race_flag.store(true, std::memory_order_release);
           }
         }
         finished.fetch_add(1, std::memory_order_release);
       });
     }
-    // Relay an external stop into the members' shared cancel flag; the
-    // members themselves only poll the per-call token.
-    if (external_stop_) {
+    if (limits_.cancel) {
       while (finished.load(std::memory_order_acquire) < n) {
-        if (external_stop_->load(std::memory_order_relaxed)) {
-          cancel.store(true, std::memory_order_release);
+        if (limits_.cancel->load(std::memory_order_relaxed)) {
+          race_flag.store(true, std::memory_order_release);
           break;
         }
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     }
     for (auto& thread : threads) thread.join();
-    for (auto& solver : solvers_) solver->set_cancel_flag(nullptr);
+    // Detach the members from the race flag before it goes out of scope.
+    for (auto& solver : solvers_) solver->set_limits(limits_);
     winner_index = claimed.load();
     if (winner_index >= 0) outcome.result = results[winner_index];
   }

@@ -87,15 +87,10 @@ class SolverPortfolio : public sat::ClauseSink {
   using sat::ClauseSink::add_clause;
 
   /// Per-call resource limits, applied to every member at the next solve.
+  /// When `limits.cancel` becomes true, an in-flight solve() unwinds
+  /// cooperatively and returns kUnknown, and the portfolio stays usable
+  /// afterwards.
   void set_limits(const sat::SolverLimits& limits) { limits_ = limits; }
-
-  /// Optional external stop flag (e.g. an attack-level cancellation token).
-  /// When the flag becomes true, an in-flight solve() unwinds cooperatively
-  /// and returns kUnknown, and the portfolio stays usable afterwards.
-  /// Pass nullptr (the default) to clear it.
-  void set_external_stop(const std::atomic<bool>* stop) {
-    external_stop_ = stop;
-  }
 
   /// Turns on per-member DRAT proof logging plus the post-SAT model
   /// self-check. Each member streams its trace into
@@ -196,7 +191,6 @@ class SolverPortfolio : public sat::ClauseSink {
   std::vector<std::unique_ptr<sat::FileProofTracer>> file_traces_;
   std::vector<std::string> names_;
   sat::SolverLimits limits_;
-  const std::atomic<bool>* external_stop_ = nullptr;
   int last_winner_ = 0;
   bool proven_unsat_ = false;
 

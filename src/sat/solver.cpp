@@ -607,7 +607,7 @@ bool Solver::time_exhausted() {
 }
 
 bool Solver::should_stop() {
-  if (cancel_ && cancel_->load(std::memory_order_relaxed)) {
+  if (limits_.cancel && limits_.cancel->load(std::memory_order_relaxed)) {
     cancelled_ = true;
     return true;
   }
@@ -636,7 +636,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
   limit_fired_ = false;
   cancelled_ = false;
   if (!ok_) return Result::kUnsat;
-  if (cancel_ && cancel_->load(std::memory_order_relaxed)) {
+  if (limits_.cancel && limits_.cancel->load(std::memory_order_relaxed)) {
     cancelled_ = true;
     limit_fired_ = true;
     return Result::kUnknown;

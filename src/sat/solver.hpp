@@ -47,6 +47,11 @@ struct SolverLimits {
   double time_limit_seconds = 0.0;
   /// Conflict budget; 0 means unlimited.
   std::uint64_t conflict_limit = 0;
+  /// Cooperative cancellation token, or null. While solving, the flag is
+  /// polled on the same countdown path as the wall-clock check; when it
+  /// reads true, solve() unwinds to the root level and returns kUnknown.
+  /// The pointee must outlive every solve() run under these limits.
+  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// Diversification knobs for portfolio solving. The default-constructed
@@ -104,11 +109,6 @@ class Solver : public ClauseSink {
   /// `init_phase_true` applies to every variable.
   void set_config(const SolverConfig& config);
   const SolverConfig& config() const { return config_; }
-  /// Installs a cooperative cancellation token. While solving, the flag is
-  /// polled on the same countdown path as the wall-clock check; when it
-  /// reads true, solve() unwinds to the root level and returns kUnknown.
-  /// Pass nullptr to detach. The pointee must outlive the solve.
-  void set_cancel_flag(const std::atomic<bool>* flag) { cancel_ = flag; }
   /// True if the last solve() stopped due to a resource limit.
   bool limit_fired() const { return limit_fired_; }
   /// True if the last solve() stopped because the cancel flag was raised.
@@ -273,7 +273,6 @@ class Solver : public ClauseSink {
   SolverConfig config_;
   bool limit_fired_ = false;
   bool cancelled_ = false;
-  const std::atomic<bool>* cancel_ = nullptr;
   std::uint64_t rng_state_ = 0x9e3779b97f4a7c15ull;
   std::chrono::steady_clock::time_point solve_start_;
   std::uint64_t conflicts_at_solve_start_ = 0;

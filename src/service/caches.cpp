@@ -1,10 +1,6 @@
 #include "service/caches.hpp"
 
-#include <chrono>
-#include <stdexcept>
-
 #include "attacks/engine/miter_context.hpp"
-#include "cnf/tseitin.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/verilog_io.hpp"
 
@@ -14,18 +10,13 @@ using attacks::engine::MiterSkeleton;
 using netlist::Netlist;
 using netlist::NodeId;
 
-std::uint64_t content_hash(const std::string& text) {
+std::string content_hash_hex(const std::string& text) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
   for (unsigned char c : text) {
     h ^= c;
     h *= 1099511628211ull;  // FNV prime
   }
-  return h;
-}
-
-std::string content_hash_hex(const std::string& text) {
   static const char* digits = "0123456789abcdef";
-  std::uint64_t h = content_hash(text);
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
     out[static_cast<std::size_t>(i)] = digits[h & 0xf];
@@ -40,8 +31,8 @@ std::shared_ptr<const Netlist> NetlistCache::get(const std::string& text,
                                                  bool* hit_out) {
   // The parse format is part of the identity: identical bytes read as
   // bench vs Verilog yield different netlists, so the key (and the hash
-  // the API exposes, which seeds the skeleton/verifier cache keys too)
-  // carries a format prefix.
+  // the API exposes, which keys the skeleton cache too) carries a format
+  // prefix.
   const std::string hex =
       (verilog ? "v:" : "b:") + content_hash_hex(text);
   if (hex_out) *hex_out = hex;
@@ -110,91 +101,6 @@ std::size_t SkeletonCache::memory_bytes() const {
   std::size_t bytes = 0;
   for (const auto& [hex, skeleton] : map_) bytes += skeleton->memory_bytes();
   return bytes;
-}
-
-WarmVerifier::WarmVerifier(std::shared_ptr<const Netlist> locked,
-                           std::shared_ptr<const Netlist> activated,
-                           unsigned jobs, std::uint64_t seed)
-    : locked_(std::move(locked)),
-      activated_(std::move(activated)),
-      portfolio_(jobs, seed) {
-  if (locked_->data_inputs().size() != activated_->data_inputs().size()) {
-    throw std::invalid_argument("verify: data input widths differ");
-  }
-  if (locked_->outputs().size() != activated_->outputs().size()) {
-    throw std::invalid_argument("verify: output widths differ");
-  }
-  if (!activated_->key_inputs().empty()) {
-    throw std::invalid_argument("verify: activated netlist has key inputs");
-  }
-  const std::vector<sat::Var> x =
-      attacks::engine::make_vars(portfolio_, locked_->data_inputs().size());
-  // Locked copy with free key variables: the key arrives per-verify as
-  // assumptions, which is what keeps this instance reusable across keys.
-  const auto locked_copy =
-      attacks::engine::encode_copy(*locked_, portfolio_, x);
-  key_vars_ = locked_copy.key_vars;
-  const auto activated_copy =
-      attacks::engine::encode_copy(*activated_, portfolio_, x);
-  cnf::encode_miter(portfolio_, locked_copy.output_vars,
-                    activated_copy.output_vars);
-}
-
-WarmVerifier::Outcome WarmVerifier::verify(const std::vector<bool>& key,
-                                           double timeout_seconds,
-                                           const std::atomic<bool>* cancel) {
-  if (key.size() != key_vars_.size()) {
-    throw std::invalid_argument("verify: key width mismatch");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  portfolio_.set_external_stop(cancel);
-  sat::SolverLimits limits;
-  limits.time_limit_seconds = timeout_seconds;
-  portfolio_.set_limits(limits);
-  std::vector<sat::Lit> assumptions;
-  assumptions.reserve(key.size());
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    assumptions.push_back(sat::Lit::make(key_vars_[i], !key[i]));
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const runtime::SolveOutcome outcome = portfolio_.solve(assumptions);
-  Outcome result;
-  result.status = outcome.result;
-  // SAT = a distinguishing input exists = the key is wrong.
-  result.equivalent = outcome.result == sat::Result::kUnsat;
-  result.conflicts = outcome.conflicts;
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  result.uses = ++uses_;
-  return result;
-}
-
-std::shared_ptr<WarmVerifier> VerifierCache::get(
-    const std::string& locked_hex, std::shared_ptr<const Netlist> locked,
-    const std::string& activated_hex,
-    std::shared_ptr<const Netlist> activated, unsigned jobs,
-    std::uint64_t seed, bool* hit_out) {
-  const std::string key = locked_hex + ":" + activated_hex;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (hit_out) *hit_out = true;
-    return it->second;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (hit_out) *hit_out = false;
-  auto verifier = std::make_shared<WarmVerifier>(std::move(locked),
-                                                 std::move(activated), jobs,
-                                                 seed);
-  map_.emplace(key, verifier);
-  return verifier;
-}
-
-std::size_t VerifierCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return map_.size();
 }
 
 }  // namespace ril::service

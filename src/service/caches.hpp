@@ -1,9 +1,8 @@
 // Cross-request caches for the `ril serve` daemon.
 //
 // The daemon's whole point is that requests repeat: the same locked host is
-// attacked under many keys, the same (locked, activated) pair is verified
-// against many candidate keys, the same netlist text arrives over and over.
-// Three levels of state survive across requests, all keyed by *content
+// attacked under many keys, the same netlist text arrives over and over.
+// Two levels of state survive across requests, both keyed by *content
 // hash* so a changed input can never alias a stale entry:
 //
 //  1. NetlistCache — parsed netlist::Netlist objects, shared read-only
@@ -11,11 +10,10 @@
 //     is the one non-const-thread-safe part of Netlist);
 //  2. SkeletonCache — captured free-key miter encodings
 //     (attacks::engine::MiterSkeleton): replaying one skips the Tseitin
-//     walk entirely and is bit-identical to a cold encode;
-//  3. VerifierCache — warm WarmVerifier instances whose SolverPortfolio
-//     has the locked-vs-activated miter already encoded; each verify is an
-//     incremental assumption solve over the key variables, so repeated
-//     key checks reuse the formula and the learned clauses.
+//     walk entirely and is bit-identical to a cold encode.
+//
+// Key verification keeps no state: every verify runs the structural CEC
+// (cnf::check_equivalence) from scratch.
 //
 // Every cache counts hits and misses; the service surfaces the counters in
 // each response so a client (and the CI smoke test) can see the cache work.
@@ -27,17 +25,14 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "attacks/engine/miter_context.hpp"
 #include "netlist/netlist.hpp"
-#include "runtime/portfolio.hpp"
 
 namespace ril::service {
 
-/// FNV-1a 64-bit over the raw bytes; the cache key for all three levels.
-std::uint64_t content_hash(const std::string& text);
-/// The hash as a fixed-width lowercase hex string (what the API exposes).
+/// FNV-1a 64-bit over the raw bytes as a fixed-width lowercase hex string:
+/// the cache key for both levels, and what the API exposes.
 std::string content_hash_hex(const std::string& text);
 
 /// Level 1: content hash -> parsed, name-materialized, shared netlist.
@@ -93,68 +88,6 @@ class SkeletonCache {
   std::unordered_map<std::string,
                      std::shared_ptr<const attacks::engine::MiterSkeleton>>
       map_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-};
-
-/// Level 3: a warm equivalence checker for one (locked, activated) pair.
-/// The portfolio encodes X, a locked copy with *free* key variables, an
-/// activated copy, and a miter forcing some output pair to differ -- once.
-/// verify(key) then solves under assumptions fixing the key variables:
-/// UNSAT means no distinguishing input exists, i.e. the key is correct.
-/// Each call is incremental, so the portfolio keeps its learned clauses
-/// between keys. One verify runs at a time per verifier (internal mutex).
-class WarmVerifier {
- public:
-  /// Throws std::invalid_argument when the data-input or output widths of
-  /// the two netlists disagree, or `activated` still has key inputs.
-  WarmVerifier(std::shared_ptr<const netlist::Netlist> locked,
-               std::shared_ptr<const netlist::Netlist> activated,
-               unsigned jobs, std::uint64_t seed);
-
-  struct Outcome {
-    sat::Result status = sat::Result::kUnknown;
-    bool equivalent = false;  ///< valid iff status != kUnknown
-    std::uint64_t conflicts = 0;
-    double seconds = 0;
-    std::size_t uses = 0;  ///< verifies served by this warm instance so far
-  };
-
-  /// `key` must match the locked netlist's key width (throws otherwise).
-  Outcome verify(const std::vector<bool>& key, double timeout_seconds = 0,
-                 const std::atomic<bool>* cancel = nullptr);
-
- private:
-  std::mutex mutex_;
-  // Keep the encoded netlists alive as long as the portfolio references
-  // their structure (the oracle-side shared_ptr also pins the cache entry).
-  std::shared_ptr<const netlist::Netlist> locked_;
-  std::shared_ptr<const netlist::Netlist> activated_;
-  runtime::SolverPortfolio portfolio_;
-  std::vector<sat::Var> key_vars_;
-  std::size_t uses_ = 0;
-};
-
-/// Keyed by "locked-hex:activated-hex". get() returns an existing warm
-/// verifier (hit) or builds one (miss).
-class VerifierCache {
- public:
-  std::shared_ptr<WarmVerifier> get(
-      const std::string& locked_hex,
-      std::shared_ptr<const netlist::Netlist> locked,
-      const std::string& activated_hex,
-      std::shared_ptr<const netlist::Netlist> activated, unsigned jobs,
-      std::uint64_t seed, bool* hit_out = nullptr);
-
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<WarmVerifier>> map_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
 };

@@ -2,13 +2,14 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "attacks/oracle.hpp"
 #include "attacks/sat_attack.hpp"
-#include "core/ril_block.hpp"
+#include "cnf/equivalence.hpp"
 #include "locking/schemes.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/file_bytes.hpp"
@@ -33,6 +34,28 @@ bool json_bool_field(const std::string& body, const std::string& field,
   if (body.compare(v, 4, "true") == 0) return true;
   if (body.compare(v, 5, "false") == 0) return false;
   return fallback;
+}
+
+/// `line` with the body of every nested object or array dropped, so the
+/// runtime::json_*_field lookups on it see top-level fields only.
+std::string top_level_fields(const std::string& line) {
+  std::string out;
+  int depth = 0;
+  bool in_string = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    const bool escape = in_string && c == '\\' && i + 1 < line.size();
+    if (!in_string && (c == '}' || c == ']')) --depth;
+    if (depth <= 1) out.append(line, i, escape ? 2 : 1);
+    if (escape) {
+      ++i;
+    } else if (c == '"') {
+      in_string = !in_string;
+    } else if (!in_string && (c == '{' || c == '[')) {
+      ++depth;
+    }
+  }
+  return out;
 }
 
 std::string key_to_string(const std::vector<bool>& key) {
@@ -115,9 +138,6 @@ std::string AttackService::stats_json() const {
       << ",\"misses\":" << skeletons_.misses()
       << ",\"entries\":" << skeletons_.size()
       << ",\"bytes\":" << skeletons_.memory_bytes() << "}"
-      << ",\"verifier_cache\":{\"hits\":" << verifiers_.hits()
-      << ",\"misses\":" << verifiers_.misses()
-      << ",\"entries\":" << verifiers_.size() << "}"
       << ",\"journal_failures\":" << journal_.failures() << "}";
   return out.str();
 }
@@ -144,22 +164,33 @@ void AttackService::journal_write(const Job& job) {
 }
 
 void AttackService::replay_journal() {
-  std::ifstream in(options_.journal_path);
-  if (!in) return;  // first boot: nothing to replay
-  std::string line;
+  std::optional<netlist::FileBytes> bytes;
+  try {
+    bytes.emplace(options_.journal_path);
+  } catch (const std::runtime_error&) {
+    return;  // first boot: nothing to replay
+  }
+  const std::string_view text = bytes->view();
   std::uint64_t max_id = 0;
   std::lock_guard<std::mutex> lock(jobs_mutex_);
-  while (std::getline(in, line)) {
-    const std::string id = json_string_field(line, "id");
+  for (std::size_t begin = 0; begin < text.size();) {
+    std::size_t end = text.find('\n', begin);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string line(text.substr(begin, end - begin));
+    begin = end + 1;
+    // Job fields come from the top level only: a job's "data" object may
+    // carry fields of the same names (a check-proof job's "proof_path").
+    const std::string top = top_level_fields(line);
+    const std::string id = json_string_field(top, "id");
     if (id.empty()) continue;
     Job& job = jobs_[id];
     job.id = id;
-    job.type = json_string_field(line, "type");
-    job.status = json_string_field(line, "status");
-    job.error = json_string_field(line, "error");
-    job.queue_seconds = json_number_field(line, "queue_seconds");
-    job.run_seconds = json_number_field(line, "run_seconds");
-    job.proof_path = json_string_field(line, "proof_path");
+    job.type = json_string_field(top, "type");
+    job.status = json_string_field(top, "status");
+    job.error = json_string_field(top, "error");
+    job.queue_seconds = json_number_field(top, "queue_seconds");
+    job.run_seconds = json_number_field(top, "run_seconds");
+    job.proof_path = json_string_field(top, "proof_path");
     job.payload = runtime::json_object_field(line, "data");
     job.replayed = true;
     // "job-<n>" -> n, to keep ids unique across restarts.
@@ -256,7 +287,7 @@ HttpResponse AttackService::submit_job(const HttpRequest& request) {
     std::string payload;
     if (type == "attack") payload = run_attack(body, id, ctx, &proof_path);
     else if (type == "verify") payload = run_verify(body, ctx);
-    else if (type == "lock") payload = run_lock(body, ctx, &proof_path);
+    else if (type == "lock") payload = run_lock(body);
     else payload = run_check_proof(body);
     if (!proof_path.empty()) {
       std::lock_guard<std::mutex> lock(jobs_mutex_);
@@ -313,12 +344,13 @@ HttpResponse AttackService::job_proof(const std::string& id) {
   if (path.empty()) {
     return error_response(404, "job " + id + " has no certificate");
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return error_response(404, "certificate file missing: " + path);
   HttpResponse response;
   response.content_type = "application/octet-stream";
-  response.body.assign(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
+  try {
+    response.body = netlist::FileBytes(path).view();
+  } catch (const std::runtime_error&) {
+    return error_response(404, "certificate file missing: " + path);
+  }
   return response;
 }
 
@@ -356,6 +388,16 @@ std::shared_ptr<const netlist::Netlist> AttackService::resolve_netlist(
   return parsed;
 }
 
+std::shared_ptr<const netlist::Netlist> AttackService::resolve_activated(
+    const std::string& body, std::string* telemetry) {
+  auto activated = resolve_netlist(body, "activated", nullptr, telemetry);
+  if (!activated->key_inputs().empty()) {
+    throw std::runtime_error(
+        "activated netlist must not have key inputs (unlock it first)");
+  }
+  return activated;
+}
+
 std::string AttackService::run_attack(const std::string& body,
                                       const std::string& id,
                                       runtime::JobContext& ctx,
@@ -364,12 +406,7 @@ std::string AttackService::run_attack(const std::string& body,
   std::string locked_hex;
   const auto locked = resolve_netlist(body, "locked", &locked_hex,
                                       &telemetry);
-  const auto activated =
-      resolve_netlist(body, "activated", nullptr, &telemetry);
-  if (!activated->key_inputs().empty()) {
-    throw std::runtime_error(
-        "activated netlist must not have key inputs (unlock it first)");
-  }
+  const auto activated = resolve_activated(body, &telemetry);
   attacks::Oracle oracle(*activated, {});
 
   attacks::SatAttackOptions options;
@@ -429,79 +466,52 @@ std::string AttackService::run_attack(const std::string& body,
 std::string AttackService::run_verify(const std::string& body,
                                       runtime::JobContext& ctx) {
   std::string telemetry;
-  std::string locked_hex;
-  std::string activated_hex;
-  const auto locked = resolve_netlist(body, "locked", &locked_hex,
-                                      &telemetry);
-  const auto activated =
-      resolve_netlist(body, "activated", &activated_hex, &telemetry);
+  const auto locked = resolve_netlist(body, "locked", nullptr, &telemetry);
+  const auto activated = resolve_activated(body, &telemetry);
   const std::vector<bool> key =
       key_from_string(json_string_field(body, "key"));
 
-  bool warm = false;
-  const auto verifier = verifiers_.get(
-      locked_hex, locked, activated_hex, activated, options_.solver_jobs,
-      content_hash(locked_hex), &warm);
-  const auto outcome =
-      verifier->verify(key, ctx.timeout_seconds(), &ctx.cancel_flag());
+  // The same structural CEC every other key check runs, under the job's
+  // deadline and cancel flag. A key-width mismatch throws: a job error.
+  const auto t0 = std::chrono::steady_clock::now();
+  const cnf::EquivalenceResult result = cnf::check_equivalence(
+      *locked, *activated, key, {},
+      {.time_limit_seconds = ctx.timeout_seconds(),
+       .cancel = &ctx.cancel_flag()});
+  const double seconds = now_minus(t0);
 
-  std::string payload = "\"verifier_cache\":\"";
-  payload += warm ? "hit" : "miss";
-  payload += "\",\"status\":\"";
-  payload += outcome.status == sat::Result::kUnknown ? "unknown"
-             : outcome.equivalent                    ? "equivalent"
-                                                     : "different";
+  std::string payload = "\"status\":\"";
+  payload += result.status == sat::Result::kUnknown ? "unknown"
+             : result.equivalent()                  ? "equivalent"
+                                                    : "different";
   payload += "\",\"equivalent\":";
-  payload += outcome.equivalent ? "true" : "false";
-  payload += ",\"conflicts\":" + std::to_string(outcome.conflicts);
-  payload += ",\"solve_seconds\":" + fmt_seconds(outcome.seconds);
-  payload += ",\"verifier_uses\":" + std::to_string(outcome.uses);
+  payload += result.equivalent() ? "true" : "false";
+  payload += ",\"solve_seconds\":" + fmt_seconds(seconds);
   payload += telemetry;
   return payload;
 }
 
-std::string AttackService::run_lock(const std::string& body,
-                                    runtime::JobContext&,
-                                    std::string* /*proof_path*/) {
+std::string AttackService::run_lock(const std::string& body) {
   std::string telemetry;
   const auto host = resolve_netlist(body, "host", nullptr, &telemetry);
   const std::string scheme = json_string_field(body, "scheme");
-  const auto bits =
-      static_cast<std::size_t>(json_number_field(body, "bits", 32));
-  const auto size =
-      static_cast<std::size_t>(json_number_field(body, "size", 8));
-  const auto seed =
-      static_cast<std::uint64_t>(json_number_field(body, "seed", 1));
-
-  netlist::Netlist locked;
-  std::vector<bool> key;
-  if (scheme == "ril") {
-    core::RilBlockConfig config;
-    config.size = size;
-    auto ril = locking::lock_ril(
-        *host, static_cast<std::size_t>(json_number_field(body, "blocks", 1)),
-        config, seed);
-    locked = std::move(ril.locked.netlist);
-    key = ril.info.functional_key;
-  } else {
-    locking::LockedCircuit result;
-    if (scheme == "xor") result = locking::lock_xor(*host, bits, seed);
-    else if (scheme == "sarlock") result = locking::lock_sarlock(*host, bits, seed);
-    else if (scheme == "antisat") result = locking::lock_antisat(*host, bits, seed);
-    else if (scheme == "sfll") result = locking::lock_sfll_hd0(*host, bits, seed);
-    else if (scheme == "lut") result = locking::lock_lut(*host, bits, seed);
-    else if (scheme == "fulllock") result = locking::lock_fulllock(*host, size, seed);
-    else if (scheme == "routing") result = locking::lock_banyan_routing(*host, size, seed);
-    else throw std::runtime_error("unknown lock scheme: " + scheme);
-    locked = std::move(result.netlist);
-    key = std::move(result.key);
-  }
+  auto number = [&](const char* field, double fallback) {
+    return static_cast<std::size_t>(json_number_field(body, field, fallback));
+  };
+  const auto lock = locking::lock_by_name(
+      scheme, *host,
+      {.bits = number("bits", 32),
+       .size = number("size", 8),
+       .blocks = number("blocks", 1),
+       .seed = static_cast<std::uint64_t>(json_number_field(body, "seed", 1))});
+  if (!lock) throw std::runtime_error("unknown lock scheme: " + scheme);
+  const std::vector<bool>& key = lock->locked.key;
   std::string payload = "\"scheme\":\"" + json_escape(scheme) + "\"";
   payload += ",\"key\":\"" + key_to_string(key) + "\"";
   payload += ",\"key_bits\":" + std::to_string(key.size());
-  payload +=
-      ",\"locked\":\"" + json_escape(netlist::write_bench_string(locked)) +
-      "\"";
+  payload += ",\"locked\":\"" +
+             json_escape(netlist::write_bench_string(lock->locked.netlist)) +
+             "\"";
   payload += telemetry;
   return payload;
 }

@@ -6,9 +6,11 @@
 // runtime::JobQueue worker pool the campaign runner uses (per-job
 // deadlines, cooperative cancellation, exception isolation), and results
 // are retrieved by job id -- including the streamed DRAT certificate of a
-// certified attack. Three caches persist across requests (src/service/
-// caches.hpp): parsed netlists, miter CNF skeletons, and warm verifier
-// portfolios, all keyed by content hash. Every terminal job is appended to
+// certified attack. Two caches persist across requests (src/service/
+// caches.hpp): parsed netlists and miter CNF skeletons, both keyed by
+// content hash. A verify job checks its key with the structural CEC
+// (cnf::check_equivalence), as every other key check in the project does,
+// and keeps no state. Every terminal job is appended to
 // a kill-safe JSONL journal (runtime::JsonlWriter); on restart the journal
 // is replayed so finished jobs stay queryable and jobs that were queued
 // when the process died surface as status "lost" instead of vanishing.
@@ -45,7 +47,7 @@ namespace ril::service {
 struct ServiceOptions {
   /// Concurrent jobs (JobQueue width).
   unsigned workers = 2;
-  /// Portfolio width inside each attack / verify solve.
+  /// Portfolio width inside each attack's solves.
   unsigned solver_jobs = 1;
   /// Kill-safe JSONL journal; empty disables journaling.
   std::string journal_path;
@@ -91,8 +93,7 @@ class AttackService {
   HttpResponse job_proof(const std::string& id);
 
   /// Runs one job body on a worker; returns the payload JSON fields.
-  std::string run_lock(const std::string& body, runtime::JobContext& ctx,
-                       std::string* proof_path);
+  std::string run_lock(const std::string& body);
   std::string run_attack(const std::string& body, const std::string& id,
                          runtime::JobContext& ctx, std::string* proof_path);
   std::string run_verify(const std::string& body, runtime::JobContext& ctx);
@@ -104,6 +105,9 @@ class AttackService {
   std::shared_ptr<const netlist::Netlist> resolve_netlist(
       const std::string& body, const std::string& field,
       std::string* hex_out, std::string* telemetry);
+  /// resolve_netlist for "activated", which must have no key inputs.
+  std::shared_ptr<const netlist::Netlist> resolve_activated(
+      const std::string& body, std::string* telemetry);
 
   void replay_journal();
   std::string job_json(const Job& job) const;
@@ -115,7 +119,6 @@ class AttackService {
 
   NetlistCache netlists_;
   SkeletonCache skeletons_;
-  VerifierCache verifiers_;
 
   mutable std::mutex jobs_mutex_;
   std::condition_variable jobs_cv_;

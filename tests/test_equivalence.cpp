@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
 #include <stdexcept>
 
@@ -131,6 +132,21 @@ TEST(Equivalence, LimitReturnsUnknown) {
   const Netlist b = permute_inputs(a, swapped);
   sat::SolverLimits limits{.conflict_limit = 1000};
   const auto result = check_equivalence(a, b, {}, {}, limits);
+  EXPECT_EQ(result.status, sat::Result::kUnknown);
+  EXPECT_TRUE(result.counterexample.empty());
+}
+
+TEST(Equivalence, RaisedCancelFlagReturnsUnknown) {
+  // The same residual multiplier miter as above: with the cancel token in
+  // the limits already raised, the solve stops before it searches.
+  const std::size_t width = 12;
+  const Netlist a = benchgen::make_array_multiplier(width);
+  std::vector<std::size_t> swapped;
+  for (std::size_t i = 0; i < width; ++i) swapped.push_back(width + i);
+  for (std::size_t i = 0; i < width; ++i) swapped.push_back(i);
+  const Netlist b = permute_inputs(a, swapped);
+  const std::atomic<bool> cancel{true};
+  const auto result = check_equivalence(a, b, {}, {}, {.cancel = &cancel});
   EXPECT_EQ(result.status, sat::Result::kUnknown);
   EXPECT_TRUE(result.counterexample.empty());
 }

@@ -187,9 +187,9 @@ TEST(Portfolio, IncrementalSolvesStayInLockStep) {
 TEST(Portfolio, CancellationTokenStopsSolvePromptly) {
   Solver solver;
   add_pigeonhole(solver, 12, 11);  // hours of CDCL search if left alone
-  solver.set_limits({.time_limit_seconds = 60.0});  // hang backstop
   std::atomic<bool> cancel{false};
-  solver.set_cancel_flag(&cancel);
+  // 60 s is the hang backstop; the cancel token rides in the same limits.
+  solver.set_limits({.time_limit_seconds = 60.0, .cancel = &cancel});
 
   Result result = Result::kSat;
   std::thread worker([&] { result = solver.solve(); });
@@ -205,10 +205,36 @@ TEST(Portfolio, CancellationTokenStopsSolvePromptly) {
   EXPECT_LT(latency, 5.0);  // countdown polls every 1024 steps
 
   // The solver must remain usable after a cancelled solve.
-  solver.set_cancel_flag(nullptr);
   solver.set_limits({.time_limit_seconds = 0.2});
   EXPECT_EQ(solver.solve(), Result::kUnknown);
   EXPECT_FALSE(solver.cancelled());
+}
+
+TEST(Portfolio, CancellationTokenStopsRacingMembers) {
+  // Two members race on the race path; the caller's token in the limits is
+  // relayed into the flag the members poll.
+  SolverPortfolio portfolio(2, 5);
+  add_pigeonhole(portfolio, 12, 11);
+  std::atomic<bool> cancel{false};
+  portfolio.set_limits({.time_limit_seconds = 60.0, .cancel = &cancel});
+
+  SolveOutcome outcome;
+  std::thread worker([&] { outcome = portfolio.solve(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto cancel_time = std::chrono::steady_clock::now();
+  cancel.store(true);
+  worker.join();
+  EXPECT_EQ(outcome.result, Result::kUnknown);
+  EXPECT_EQ(outcome.winner, -1);
+  EXPECT_LT(seconds_since(cancel_time), 5.0);
+
+  // A token raised before the call stops the solve before it searches.
+  const SolveOutcome again = portfolio.solve();
+  EXPECT_EQ(again.result, Result::kUnknown);
+
+  // Usable afterwards once the token is gone.
+  portfolio.set_limits({.time_limit_seconds = 0.2});
+  EXPECT_EQ(portfolio.solve().result, Result::kUnknown);
 }
 
 TEST(Portfolio, DeadlineExpiryReturnsUnknown) {

@@ -284,7 +284,15 @@ TEST(Service, DeadlineCancelledAttackPublishesOpenCertificate) {
   std::remove(proof_path.c_str());
 }
 
-TEST(Service, WarmVerifierIsReusedAcrossKeys) {
+std::string verify_body(const std::string& locked_text,
+                        const std::string& activated_text,
+                        const std::string& key) {
+  return "{\"type\":\"verify\",\"locked\":\"" + json_escape(locked_text) +
+         "\",\"activated\":\"" + json_escape(activated_text) +
+         "\",\"key\":\"" + key + "\"}";
+}
+
+TEST(Service, VerifyChecksKeysThroughTheStructuralCec) {
   const netlist::Netlist host = small_host(51);
   const auto locked = locking::lock_xor(host, 8, 13);
   const std::string locked_text =
@@ -292,32 +300,52 @@ TEST(Service, WarmVerifierIsReusedAcrossKeys) {
   const std::string activated_text = netlist::write_bench_string(host);
 
   ServiceOptions options;
-  options.workers = 1;
+  options.workers = 2;
   AttackService service(options);
 
   std::string correct_key;
   for (bool b : locked.key) correct_key += b ? '1' : '0';
   std::string wrong_key = correct_key;
   wrong_key[0] = wrong_key[0] == '0' ? '1' : '0';
-
   auto verify = [&](const std::string& key) {
-    return service
-        .handle(post_job("{\"type\":\"verify\",\"locked\":\"" +
-                         json_escape(locked_text) + "\",\"activated\":\"" +
-                         json_escape(activated_text) + "\",\"key\":\"" + key +
-                         "\"}"))
-        .body;
+    const std::string response =
+        service.handle(post_job(verify_body(locked_text, activated_text, key)))
+            .body;
+    EXPECT_EQ(json_string_field(response, "status"), "ok") << response;
+    return "{" + json_object_field(response, "data") + "}";
   };
-  const std::string first = verify(correct_key);
-  const std::string data_1 = "{" + json_object_field(first, "data") + "}";
-  EXPECT_EQ(json_string_field(data_1, "verifier_cache"), "miss") << first;
-  EXPECT_EQ(json_string_field(data_1, "status"), "equivalent") << first;
 
-  const std::string second = verify(wrong_key);
-  const std::string data_2 = "{" + json_object_field(second, "data") + "}";
-  EXPECT_EQ(json_string_field(data_2, "verifier_cache"), "hit") << second;
-  EXPECT_EQ(json_string_field(data_2, "status"), "different") << second;
-  EXPECT_EQ(json_number_field(data_2, "verifier_uses"), 2) << second;
+  const std::string right = verify(correct_key);
+  EXPECT_EQ(json_string_field(right, "status"), "equivalent") << right;
+  EXPECT_NE(right.find("\"equivalent\":true"), std::string::npos) << right;
+  const std::string wrong = verify(wrong_key);
+  EXPECT_EQ(json_string_field(wrong, "status"), "different") << wrong;
+  EXPECT_NE(wrong.find("\"equivalent\":false"), std::string::npos) << wrong;
+
+  // A key of the wrong width is a job error, not a crash.
+  const std::string short_key = service
+      .handle(post_job(verify_body(locked_text, activated_text,
+                                   correct_key.substr(1))))
+      .body;
+  EXPECT_EQ(json_string_field(short_key, "status"), "error") << short_key;
+  EXPECT_NE(json_string_field(short_key, "error").find("key width"),
+            std::string::npos)
+      << short_key;
+
+  // Two verifies of one pair, concurrently on the two workers, agree.
+  std::vector<std::string> concurrent(2);
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < concurrent.size(); ++i) {
+    clients.emplace_back([&, i] { concurrent[i] = verify(correct_key); });
+  }
+  for (auto& t : clients) t.join();
+  for (const std::string& data : concurrent) {
+    EXPECT_EQ(json_string_field(data, "status"), "equivalent") << data;
+  }
+
+  // No verifier state is kept between requests.
+  const std::string stats = service.handle(get("/v1/stats")).body;
+  EXPECT_EQ(stats.find("verifier"), std::string::npos) << stats;
 }
 
 TEST(Service, JournalReplaySurvivesRestart) {
@@ -370,6 +398,58 @@ TEST(Service, JournalReplaySurvivesRestart) {
       .body;
   const std::string fresh_id = json_string_field(fresh, "id");
   EXPECT_EQ(fresh_id, "job-8") << fresh;
+  std::remove(journal.c_str());
+}
+
+TEST(Service, JournalReplayReadsJobFieldsFromTheTopLevel) {
+  // Regression: replay looked fields up anywhere in a journal line, so a
+  // check-proof job took the "proof_path" nested in its own "data" object
+  // as its certificate and, after a restart, served another job's file.
+  const std::string journal = "service_replay_fields_test.jsonl";
+  std::remove(journal.c_str());
+  const netlist::Netlist host = small_host(63);
+  const auto locked = locking::lock_xor(host, 6, 11);
+
+  ServiceOptions options;
+  options.workers = 1;
+  options.journal_path = journal;
+  std::string attack_id;
+  std::string check_id;
+  std::string proof_path;
+  {
+    AttackService service(options);
+    const std::string attack = service
+        .handle(post_job(attack_body(
+            netlist::write_bench_string(locked.netlist),
+            netlist::write_bench_string(host),
+            ",\"certify\":true,\"proof_name\":\"service_replay_test\"")))
+        .body;
+    attack_id = json_string_field(attack, "id");
+    proof_path = json_string_field(attack, "proof_path");
+    ASSERT_FALSE(proof_path.empty()) << attack;
+    const std::string check = service
+        .handle(post_job("{\"type\":\"check-proof\",\"job\":\"" +
+                         attack_id + "\"}"))
+        .body;
+    check_id = json_string_field(check, "id");
+    EXPECT_NE(check.find("\"valid\":true"), std::string::npos) << check;
+    EXPECT_EQ(service.handle(get("/v1/jobs/" + check_id + "/proof")).status,
+              404);
+  }
+
+  AttackService service(options);
+  EXPECT_EQ(service.handle(get("/v1/jobs/" + check_id + "/proof")).status,
+            404);
+  const std::string replayed =
+      service.handle(get("/v1/jobs/" + check_id)).body;
+  EXPECT_EQ(json_string_field(replayed, "type"), "check-proof") << replayed;
+  EXPECT_EQ(replayed.find("\"proof_path\":\"" + proof_path + "\",\"data\""),
+            std::string::npos)
+      << replayed;
+  // The attack keeps its own certificate across the restart.
+  EXPECT_EQ(service.handle(get("/v1/jobs/" + attack_id + "/proof")).status,
+            200);
+  std::remove(proof_path.c_str());
   std::remove(journal.c_str());
 }
 

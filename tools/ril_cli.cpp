@@ -71,9 +71,10 @@
 //             [--journal file.jsonl] [--proof-dir DIR] [--timeout S]
 //       Long-lived attack-as-a-service daemon: lock / attack / verify /
 //       check-proof jobs over HTTP/1.1 + JSON on 127.0.0.1, with
-//       cross-request netlist / CNF-skeleton / warm-verifier caches,
-//       per-job deadlines, a kill-safe JSONL journal, and streamed DRAT
-//       certificate retrieval. See docs/SERVICE.md for the API.
+//       cross-request netlist / CNF-skeleton caches, structural-CEC key
+//       verification, per-job deadlines, a kill-safe JSONL journal, and
+//       streamed DRAT certificate retrieval. See docs/SERVICE.md for the
+//       API.
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
@@ -405,38 +406,23 @@ int cmd_lock(const Args& args) {
     host = host.combinational_core();
   }
 
-  netlist::Netlist locked;
-  std::vector<bool> key;
-  const std::vector<bool>* scan_key = nullptr;
-  std::vector<bool> scan_storage;
-  if (scheme == "ril") {
-    core::RilBlockConfig config;
-    config.size = args.size;
-    config.output_network = args.output_net;
-    config.scan_obfuscation = args.scan;
-    config.lut_inputs = args.lutk;
-    auto ril = locking::lock_ril(host, args.blocks, config, args.seed);
-    locked = std::move(ril.locked.netlist);
-    key = ril.info.functional_key;
-    if (args.scan) {
-      scan_storage = ril.info.oracle_scan_key;
-      scan_key = &scan_storage;
-    }
-  } else {
-    locking::LockedCircuit result;
-    if (scheme == "xor") result = locking::lock_xor(host, args.bits, args.seed);
-    else if (scheme == "sarlock") result = locking::lock_sarlock(host, args.bits, args.seed);
-    else if (scheme == "antisat") result = locking::lock_antisat(host, args.bits, args.seed);
-    else if (scheme == "sfll") result = locking::lock_sfll_hd0(host, args.bits, args.seed);
-    else if (scheme == "lut") result = locking::lock_lut(host, args.bits, args.seed);
-    else if (scheme == "fulllock") result = locking::lock_fulllock(host, args.size, args.seed);
-    else if (scheme == "routing") result = locking::lock_banyan_routing(host, args.size, args.seed);
-    else usage(("unknown scheme " + scheme).c_str());
-    locked = std::move(result.netlist);
-    key = std::move(result.key);
-  }
+  const auto lock = locking::lock_by_name(
+      scheme, host,
+      {.bits = args.bits,
+       .size = args.size,
+       .blocks = args.blocks,
+       .lut_inputs = args.lutk,
+       .output_network = args.output_net,
+       .scan_obfuscation = args.scan,
+       .seed = args.seed});
+  if (!lock) usage(("unknown scheme " + scheme).c_str());
+  const netlist::Netlist& locked = lock->locked.netlist;
+  const std::vector<bool>& key = lock->locked.key;
   write_netlist(args.positional[2], locked);
-  write_key_file(args.positional[3], key, scan_key);
+  // Only a scan-obfuscated RIL lock has an oracle key of its own.
+  write_key_file(args.positional[3], key,
+                 scheme == "ril" && args.scan ? &lock->info.oracle_scan_key
+                                              : nullptr);
   std::printf("locked with %s: %s, key width %zu -> %s / %s\n",
               scheme.c_str(),
               netlist::format_stats(netlist::compute_stats(locked)).c_str(),
@@ -688,38 +674,23 @@ std::string run_campaign_cell(const CampaignCell& cell, const Args& args,
                               runtime::JobContext& ctx) {
   const auto host = benchgen::make_benchmark(cell.circuit, cell.scale);
 
-  netlist::Netlist locked;
-  std::vector<bool> oracle_key;
-  std::vector<std::size_t> se_positions;
-  std::vector<bool> functional_key;
-  if (cell.scheme == "ril") {
-    core::RilBlockConfig config;
-    config.size = scheme_opt(cell, "size", 8);
-    config.lut_inputs = scheme_opt(cell, "lutk", 2);
-    config.output_network = scheme_opt(cell, "outnet", 0) != 0;
-    config.scan_obfuscation = scheme_opt(cell, "scan", 0) != 0;
-    auto ril = locking::lock_ril(host, scheme_opt(cell, "blocks", 1), config,
-                                 cell.seed);
-    locked = std::move(ril.locked.netlist);
-    functional_key = ril.info.functional_key;
-    oracle_key = config.scan_obfuscation ? ril.info.oracle_scan_key
-                                         : ril.info.functional_key;
-    se_positions = ril.info.se_key_positions;
-  } else {
-    locking::LockedCircuit result;
-    const std::size_t bits = scheme_opt(cell, "bits", 16);
-    if (cell.scheme == "xor") result = locking::lock_xor(host, bits, cell.seed);
-    else if (cell.scheme == "sarlock") result = locking::lock_sarlock(host, bits, cell.seed);
-    else if (cell.scheme == "antisat") result = locking::lock_antisat(host, bits, cell.seed);
-    else if (cell.scheme == "sfll") result = locking::lock_sfll_hd0(host, bits, cell.seed);
-    else if (cell.scheme == "lut") result = locking::lock_lut(host, bits, cell.seed);
-    else if (cell.scheme == "fulllock") result = locking::lock_fulllock(host, scheme_opt(cell, "size", 8), cell.seed);
-    else if (cell.scheme == "routing") result = locking::lock_banyan_routing(host, scheme_opt(cell, "size", 8), cell.seed);
-    else throw std::runtime_error("unknown scheme '" + cell.scheme + "'");
-    locked = std::move(result.netlist);
-    functional_key = result.key;
-    oracle_key = std::move(result.key);
-  }
+  const bool scan = scheme_opt(cell, "scan", 0) != 0;
+  const auto lock = locking::lock_by_name(
+      cell.scheme, host,
+      {.bits = scheme_opt(cell, "bits", 16),
+       .size = scheme_opt(cell, "size", 8),
+       .blocks = scheme_opt(cell, "blocks", 1),
+       .lut_inputs = scheme_opt(cell, "lutk", 2),
+       .output_network = scheme_opt(cell, "outnet", 0) != 0,
+       .scan_obfuscation = scan,
+       .seed = cell.seed});
+  if (!lock) throw std::runtime_error("unknown scheme '" + cell.scheme + "'");
+  const netlist::Netlist& locked = lock->locked.netlist;
+  // A scan-obfuscated RIL oracle computes with its SE bits programmed.
+  const std::vector<bool>& oracle_key = cell.scheme == "ril" && scan
+                                            ? lock->info.oracle_scan_key
+                                            : lock->locked.key;
+  const std::vector<std::size_t>& se_positions = lock->info.se_key_positions;
 
   auto verdict_payload = [&](const std::string& verdict) {
     return "\"cell\":\"" + runtime::json_escape(verdict) + "\",\"circuit\":\"" +
@@ -817,7 +788,6 @@ std::string run_campaign_cell(const CampaignCell& cell, const Args& args,
         cnf::check_equivalence(result.pirated, host).equivalent();
     return verdict_payload(broken ? "broken" : "resilient");
   }
-  (void)functional_key;
   throw std::runtime_error("unknown attack '" + cell.attack + "'");
 }
 
