@@ -24,8 +24,7 @@ std::string to_string(AppSatStatus status) {
 
 AppSatResult run_appsat(const Netlist& locked, QueryOracle& oracle,
                         const AppSatOptions& options) {
-  engine::PlainEncoding encoding(locked, options.miter_skeleton,
-                                 options.capture_skeleton);
+  engine::PlainEncoding encoding(locked);
   engine::DipLoop loop(locked, oracle, options, encoding);
   std::mt19937_64 rng(options.seed);
   netlist::Simulator sim(locked);  // reused across every settle step

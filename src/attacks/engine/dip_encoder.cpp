@@ -14,18 +14,11 @@ using sat::CountingSink;
 using sat::Lit;
 using sat::Var;
 
-PlainEncoding::PlainEncoding(const Netlist& locked,
-                             const MiterSkeleton* replay,
-                             MiterSkeleton* capture)
-    : locked_(&locked),
-      replay_(replay),
-      capture_(capture),
-      data_inputs_(locked.data_inputs()) {}
+PlainEncoding::PlainEncoding(const Netlist& locked)
+    : locked_(&locked), data_inputs_(locked.data_inputs()) {}
 
 MiterVars PlainEncoding::encode_miter(ClauseSink& sink) {
-  const MiterContext ctx = replay_ != nullptr
-                               ? MiterContext(*locked_, *replay_, sink)
-                               : MiterContext(*locked_, sink, capture_);
+  const MiterContext ctx(*locked_, sink);
   return {ctx.input_vars(), {ctx.copy(0).key_vars, ctx.copy(1).key_vars}};
 }
 

@@ -7,8 +7,6 @@ namespace ril::attacks::engine {
 
 using netlist::Netlist;
 using netlist::NodeId;
-using sat::Clause;
-using sat::ClauseBatch;
 using sat::ClauseSink;
 using sat::Lit;
 using sat::Var;
@@ -74,130 +72,8 @@ CircuitCopy encode_copy(const Netlist& locked, ClauseSink& sink,
   return copy;
 }
 
-namespace {
-
-/// Forwarding sink that mirrors every variable allocation and clause into a
-/// MiterSkeleton while the real encoding proceeds underneath. Assumes the
-/// inner sink is fresh (checked by the caller via first_var()).
-class RecordingSink final : public ClauseSink {
- public:
-  RecordingSink(ClauseSink& inner, MiterSkeleton& out)
-      : inner_(inner), out_(out) {}
-
-  Var new_var() override {
-    const Var v = inner_.new_var();
-    note_first(v);
-    ++out_.num_vars;
-    return v;
-  }
-  void ensure_var(Var v) override {
-    inner_.ensure_var(v);
-    if (static_cast<std::size_t>(v) + 1 > out_.num_vars) {
-      out_.num_vars = static_cast<std::size_t>(v) + 1;
-    }
-  }
-  bool add_clause(Clause lits) override {
-    for (Lit l : lits) out_.clauses.push(l);
-    out_.clauses.seal();
-    return inner_.add_clause(std::move(lits));
-  }
-  Var new_vars(std::size_t n) override {
-    const Var first = inner_.new_vars(n);
-    if (n > 0) note_first(first);
-    out_.num_vars += n;
-    return first;
-  }
-  bool add_clauses(const ClauseBatch& batch) override {
-    const auto base = static_cast<std::uint32_t>(out_.clauses.lits.size());
-    out_.clauses.lits.insert(out_.clauses.lits.end(), batch.lits.begin(),
-                             batch.lits.end());
-    out_.clauses.ends.reserve(out_.clauses.ends.size() + batch.ends.size());
-    for (std::uint32_t end : batch.ends) out_.clauses.ends.push_back(base + end);
-    return inner_.add_clauses(batch);
-  }
-  using ClauseSink::add_clause;
-
-  Var first_var() const { return first_var_; }
-
- private:
-  void note_first(Var v) {
-    if (first_var_ == sat::kNoVar) first_var_ = v;
-  }
-
-  ClauseSink& inner_;
-  MiterSkeleton& out_;
-  Var first_var_ = sat::kNoVar;
-};
-
-}  // namespace
-
-bool MiterSkeleton::matches(const netlist::Netlist& locked) const {
-  return data_input_count == locked.data_inputs().size() &&
-         key_input_count == locked.key_inputs().size() &&
-         output_count == locked.outputs().size();
-}
-
-std::size_t MiterSkeleton::memory_bytes() const {
-  std::size_t bytes = clauses.lits.capacity() * sizeof(Lit) +
-                      clauses.ends.capacity() * sizeof(std::uint32_t);
-  bytes += (x_vars.capacity() + diff_vars.capacity()) * sizeof(Var);
-  for (int i = 0; i < 2; ++i) {
-    bytes += (key_vars[i].capacity() + output_vars[i].capacity()) * sizeof(Var);
-  }
-  return bytes;
-}
-
-MiterContext::MiterContext(const Netlist& locked, ClauseSink& sink,
-                           MiterSkeleton* capture)
+MiterContext::MiterContext(const Netlist& locked, ClauseSink& sink)
     : locked_(&locked) {
-  if (capture == nullptr) {
-    build_free_key(locked, sink);
-    return;
-  }
-  *capture = MiterSkeleton{};
-  RecordingSink recording(sink, *capture);
-  build_free_key(locked, recording);
-  if (capture->num_vars > 0 && recording.first_var() != 0) {
-    throw std::invalid_argument(
-        "MiterContext: skeleton capture requires a fresh sink");
-  }
-  capture->x_vars = x_vars_;
-  for (int i = 0; i < 2; ++i) {
-    capture->key_vars[i] = copies_[i].key_vars;
-    capture->output_vars[i] = copies_[i].output_vars;
-  }
-  capture->diff_vars = diff_vars_;
-  capture->data_input_count = locked.data_inputs().size();
-  capture->key_input_count = locked.key_inputs().size();
-  capture->output_count = locked.outputs().size();
-}
-
-MiterContext::MiterContext(const Netlist& locked, const MiterSkeleton& skeleton,
-                           ClauseSink& sink)
-    : locked_(&locked) {
-  if (!skeleton.matches(locked)) {
-    throw std::invalid_argument(
-        "MiterContext: skeleton shape does not match the locked netlist");
-  }
-  if (skeleton.num_vars > 0) {
-    const Var first = sink.new_vars(skeleton.num_vars);
-    if (first != 0) {
-      throw std::invalid_argument(
-          "MiterContext: skeleton replay requires a fresh sink");
-    }
-  }
-  // A root-level conflict here is legal (the solver just reports UNSAT),
-  // so the return value is intentionally not an error.
-  sink.add_clauses(skeleton.clauses);
-  x_vars_ = skeleton.x_vars;
-  for (int i = 0; i < 2; ++i) {
-    copies_[i].key_vars = skeleton.key_vars[i];
-    copies_[i].output_vars = skeleton.output_vars[i];
-  }
-  diff_vars_ = skeleton.diff_vars;
-}
-
-void MiterContext::build_free_key(const Netlist& locked, ClauseSink& sink) {
   // Historical layout: X first, then both key vectors, then the copies.
   x_vars_ = make_vars(sink, locked.data_inputs().size());
   const std::vector<Var> k1 = make_vars(sink, locked.key_inputs().size());

@@ -47,50 +47,11 @@ CircuitCopy encode_copy(const netlist::Netlist& locked, sat::ClauseSink& sink,
                         const std::vector<sat::Var>& input_vars,
                         const std::vector<sat::Var>* key_vars = nullptr);
 
-/// A captured free-key miter encoding: the exact variable block and clause
-/// stream the free-key MiterContext constructor emitted, plus the variable
-/// roles the DIP loop needs (X, K1/K2, outputs, miter diffs). Replaying a
-/// skeleton into a *fresh* sink reproduces the identical formula -- same
-/// variable numbering, same clause order -- without touching the netlist or
-/// the Tseitin encoder, which is what lets the `ril serve` daemon memoize
-/// the encode stage across requests that attack the same host.
-struct MiterSkeleton {
-  std::size_t num_vars = 0;  ///< variables the capture allocated (dense, 0-based)
-  sat::ClauseBatch clauses;  ///< every clause, in emission order
-  std::vector<sat::Var> x_vars;
-  std::vector<sat::Var> key_vars[2];
-  std::vector<sat::Var> output_vars[2];
-  std::vector<sat::Var> diff_vars;
-  /// Shape of the netlist the capture ran on; replay re-validates it so a
-  /// stale cache entry fails loudly instead of attacking the wrong host.
-  std::size_t data_input_count = 0;
-  std::size_t key_input_count = 0;
-  std::size_t output_count = 0;
-
-  bool empty() const { return num_vars == 0 && clauses.empty(); }
-  /// Shape compatibility only -- content identity is the caller's job
-  /// (the service keys skeletons by netlist content hash).
-  bool matches(const netlist::Netlist& locked) const;
-  /// Approximate heap footprint, for cache accounting.
-  std::size_t memory_bytes() const;
-};
-
 class MiterContext {
  public:
   /// Free-key miter (SAT attack, AppSAT): shared X, independent key vectors
-  /// K1/K2. Variable layout is X, K1, K2, copy 1, copy 2, miter. When
-  /// `capture` is non-null the emitted encoding is additionally recorded
-  /// into it for later replay; capture requires `sink` to be fresh (no
-  /// variables allocated yet) so the skeleton's numbering starts at 0.
-  MiterContext(const netlist::Netlist& locked, sat::ClauseSink& sink,
-               MiterSkeleton* capture = nullptr);
-
-  /// Replays a captured free-key miter into a fresh sink: bulk-allocates
-  /// the variable block and streams the recorded clauses, bit-identical to
-  /// re-encoding `locked`. Throws std::invalid_argument if the skeleton's
-  /// shape does not match `locked` or the sink is not fresh.
-  MiterContext(const netlist::Netlist& locked, const MiterSkeleton& skeleton,
-               sat::ClauseSink& sink);
+  /// K1/K2. Variable layout is X, K1, K2, copy 1, copy 2, miter.
+  MiterContext(const netlist::Netlist& locked, sat::ClauseSink& sink);
 
   /// Fixed-key miter (bypass attack): each copy carries fresh key variables
   /// unit-fixed to key_a / key_b; a witness is an input where the two
@@ -111,8 +72,6 @@ class MiterContext {
       const std::function<bool(sat::Var)>& model) const;
 
  private:
-  void build_free_key(const netlist::Netlist& locked, sat::ClauseSink& sink);
-
   const netlist::Netlist* locked_ = nullptr;
   std::vector<sat::Var> x_vars_;
   CircuitCopy copies_[2];

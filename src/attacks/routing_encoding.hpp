@@ -65,8 +65,8 @@ struct OnehotAttackResult : DipLoopStats {
 
 /// SAT attack with the routing networks re-encoded one-hot: the SAT
 /// attack's engine::DipLoop over a one-hot encoding, so every
-/// SatAttackOptions field except the miter-skeleton hooks applies. The
-/// recovered key bundle is canonicalized like the SAT attack's key.
+/// SatAttackOptions field applies. The recovered key bundle is
+/// canonicalized like the SAT attack's key.
 OnehotAttackResult run_sat_attack_onehot(const netlist::Netlist& locked,
                                          QueryOracle& oracle,
                                          const SatAttackOptions& options = {});

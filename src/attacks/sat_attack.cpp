@@ -30,8 +30,7 @@ std::string to_string(SatAttackStatus status) {
 
 SatAttackResult run_sat_attack(const Netlist& locked, QueryOracle& oracle,
                                const SatAttackOptions& options) {
-  engine::PlainEncoding encoding(locked, options.miter_skeleton,
-                                 options.capture_skeleton);
+  engine::PlainEncoding encoding(locked);
   engine::DipLoop loop(locked, oracle, options, encoding);
   SatAttackResult result;
   result.status = loop.run();

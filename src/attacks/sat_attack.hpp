@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "attacks/engine/attack_budget.hpp"
-#include "attacks/engine/miter_context.hpp"
 #include "attacks/oracle.hpp"
 #include "netlist/netlist.hpp"
 #include "runtime/portfolio.hpp"
@@ -97,18 +96,6 @@ struct SatAttackOptions {
   /// derivation reaches the DRAT stream). Orthogonal to `preprocess`
   /// (CLI --no-inprocess turns only this off).
   bool inprocess = true;
-  /// CNF-skeleton cache hooks (the `ril serve` daemon's level-2 cache) for
-  /// the plain miter encoding; the one-hot attack ignores them.
-  /// When `miter_skeleton` is set, the miter formula is replayed from the
-  /// capture instead of re-encoding `locked` -- bit-identical variables and
-  /// clauses, so the verdict, key, iteration count, and conflicts are
-  /// unchanged; the skeleton must come from a capture over a netlist with
-  /// identical content (the caller keys captures by content hash).
-  /// When `capture_skeleton` is set (and no replay source is given), this
-  /// run's miter encoding is recorded into it for later replay. Both null
-  /// by default; nothing in the attack path changes then.
-  const engine::MiterSkeleton* miter_skeleton = nullptr;
-  engine::MiterSkeleton* capture_skeleton = nullptr;
 };
 
 /// Certification verdict for a whole attack run.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <unordered_map>
@@ -59,6 +60,42 @@ std::size_t find_field_value(const std::string& line,
   return pos + needle.size();
 }
 
+/// Reads the four hex digits at `line[pos..pos+4)` into `*out`.
+bool read_hex4(const std::string& line, std::size_t pos, std::uint32_t* out) {
+  if (pos + 4 > line.size()) return false;
+  std::uint32_t value = 0;
+  for (std::size_t i = pos; i < pos + 4; ++i) {
+    const char c = line[i];
+    int digit = -1;
+    if (c >= '0' && c <= '9') digit = c - '0';
+    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
+    else if (c >= 'A' && c <= 'F') digit = c - 'A' + 10;
+    if (digit < 0) return false;
+    value = (value << 4) | static_cast<std::uint32_t>(digit);
+  }
+  *out = value;
+  return true;
+}
+
+/// Appends code point `cp` to `out` as UTF-8.
+void append_utf8(std::string& out, std::uint32_t cp) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xc0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xe0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
+  } else {
+    out += static_cast<char>(0xf0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
+  }
+}
+
 }  // namespace
 
 std::string json_string_field(const std::string& line,
@@ -75,10 +112,33 @@ std::string json_string_field(const std::string& line,
     if (c == '\\' && pos + 1 < line.size()) {
       const char next = line[++pos];
       switch (next) {
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
-        default: out += next;
+        case 'u': {
+          std::uint32_t cp = 0;
+          if (!read_hex4(line, pos + 1, &cp)) return {};
+          pos += 4;
+          if (cp >= 0xd800 && cp <= 0xdbff) {
+            // A high surrogate joins the low surrogate escaped after it.
+            std::uint32_t low = 0;
+            if (line.compare(pos + 1, 2, "\\u") == 0 &&
+                read_hex4(line, pos + 3, &low) && low >= 0xdc00 &&
+                low <= 0xdfff) {
+              cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+              pos += 6;
+            } else {
+              cp = 0xfffd;  // unpaired surrogate
+            }
+          } else if (cp >= 0xdc00 && cp <= 0xdfff) {
+            cp = 0xfffd;  // unpaired surrogate
+          }
+          append_utf8(out, cp);
+          break;
+        }
+        default: out += next;  // '"', '\\', '/'
       }
     } else {
       out += c;
@@ -86,6 +146,17 @@ std::string json_string_field(const std::string& line,
     ++pos;
   }
   return {};  // unterminated string
+}
+
+bool json_bool_field(const std::string& line, const std::string& field,
+                     bool fallback) {
+  const auto pos = find_field_value(line, field);
+  if (pos == std::string::npos) return fallback;
+  std::size_t v = pos;
+  while (v < line.size() && (line[v] == ' ' || line[v] == '\t')) ++v;
+  if (line.compare(v, 4, "true") == 0) return true;
+  if (line.compare(v, 5, "false") == 0) return false;
+  return fallback;
 }
 
 double json_number_field(const std::string& line, const std::string& field,
@@ -128,6 +199,26 @@ std::string json_object_field(const std::string& line,
     }
   }
   return {};  // unbalanced
+}
+
+std::string top_level_fields(const std::string& line) {
+  std::string out;
+  int depth = 0;
+  bool in_string = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    const bool escape = in_string && c == '\\' && i + 1 < line.size();
+    if (!in_string && (c == '}' || c == ']')) --depth;
+    if (depth <= 1) out.append(line, i, escape ? 2 : 1);
+    if (escape) {
+      ++i;
+    } else if (c == '"') {
+      in_string = !in_string;
+    } else if (!in_string && (c == '{' || c == '[')) {
+      ++depth;
+    }
+  }
+  return out;
 }
 
 std::string job_record_json(const JobRecord& record) {
@@ -385,16 +476,19 @@ CampaignSummary run_campaign(const std::vector<CampaignJob>& jobs,
     std::ifstream in(options.out_path);
     std::string line;
     while (std::getline(in, line)) {
-      const std::string key = json_string_field(line, "key");
-      const std::string status = json_string_field(line, "status");
+      // Record fields come from the top level only: a cell's "data"
+      // object may carry fields of the same names.
+      const std::string top = top_level_fields(line);
+      const std::string key = json_string_field(top, "key");
+      const std::string status = json_string_field(top, "status");
       if (key.empty() || (status != "ok" && status != "error")) continue;
       JobRecord record;
       record.key = key;
       record.status = "cached";
-      record.error = json_string_field(line, "error");
+      record.error = json_string_field(top, "error");
       record.payload = json_object_field(line, "data");
-      record.queue_seconds = json_number_field(line, "queue_seconds");
-      record.run_seconds = json_number_field(line, "run_seconds");
+      record.queue_seconds = json_number_field(top, "queue_seconds");
+      record.run_seconds = json_number_field(top, "run_seconds");
       restored[key] = std::move(record);  // last line wins
     }
   }

@@ -218,9 +218,16 @@ CampaignSummary run_campaign(const std::vector<CampaignJob>& jobs,
 std::string json_escape(const std::string& text);
 
 /// Extracts the string value of `"field":"..."` from a flat JSON object
-/// line. Returns "" when the field is absent.
+/// line, decoding every JSON escape (`\uXXXX` to UTF-8, surrogate pairs
+/// joined). Returns "" when the field is absent, the string is
+/// unterminated, or a `\u` escape has malformed hex.
 std::string json_string_field(const std::string& line,
                               const std::string& field);
+
+/// Extracts `"field":true|false`. Returns `fallback` when the field is
+/// absent or not a boolean.
+bool json_bool_field(const std::string& line, const std::string& field,
+                     bool fallback = false);
 
 /// Extracts the numeric value of `"field":N`. Returns `fallback` when the
 /// field is absent or non-numeric. Locale-independent: always parses the
@@ -232,5 +239,9 @@ double json_number_field(const std::string& line, const std::string& field,
 /// matching that ignores braces inside strings. Returns "" when absent.
 std::string json_object_field(const std::string& line,
                               const std::string& field);
+
+/// `line` with the body of every nested object or array dropped, so the
+/// json_*_field lookups on the result see top-level fields only.
+std::string top_level_fields(const std::string& line);
 
 }  // namespace ril::runtime

@@ -6,7 +6,7 @@
 // status line, Content-Length, and a body. Every connection is one request
 // (`Connection: close`); N acceptor threads all block in accept() on the
 // same listening socket, so up to N requests are parsed and handled
-// concurrently -- which is what lets concurrent jobs share the caches.
+// concurrently.
 // On non-POSIX builds the server compiles but start() throws.
 #pragma once
 

@@ -13,50 +13,19 @@
 #include "locking/schemes.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/file_bytes.hpp"
+#include "netlist/verilog_io.hpp"
 #include "sat/drat_check.hpp"
+#include "service/caches.hpp"
 
 namespace ril::service {
 
+using runtime::json_bool_field;
 using runtime::json_escape;
 using runtime::json_number_field;
 using runtime::json_string_field;
+using runtime::top_level_fields;
 
 namespace {
-
-/// `"field":true|false` from a flat JSON object; `fallback` when absent.
-bool json_bool_field(const std::string& body, const std::string& field,
-                     bool fallback = false) {
-  const std::string needle = "\"" + field + "\":";
-  const std::size_t pos = body.find(needle);
-  if (pos == std::string::npos) return fallback;
-  std::size_t v = pos + needle.size();
-  while (v < body.size() && (body[v] == ' ' || body[v] == '\t')) ++v;
-  if (body.compare(v, 4, "true") == 0) return true;
-  if (body.compare(v, 5, "false") == 0) return false;
-  return fallback;
-}
-
-/// `line` with the body of every nested object or array dropped, so the
-/// runtime::json_*_field lookups on it see top-level fields only.
-std::string top_level_fields(const std::string& line) {
-  std::string out;
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    const bool escape = in_string && c == '\\' && i + 1 < line.size();
-    if (!in_string && (c == '}' || c == ']')) --depth;
-    if (depth <= 1) out.append(line, i, escape ? 2 : 1);
-    if (escape) {
-      ++i;
-    } else if (c == '"') {
-      in_string = !in_string;
-    } else if (!in_string && (c == '{' || c == '[')) {
-      ++depth;
-    }
-  }
-  return out;
-}
 
 std::string key_to_string(const std::vector<bool>& key) {
   std::string out;
@@ -112,7 +81,7 @@ AttackService::~AttackService() {
   // The wait is load-bearing: queue_ is destroyed *last* among the members
   // a job callback touches (it is declared first), so without it a still-
   // running job's run/done callbacks could fire against already-destroyed
-  // jobs_/journal_/caches.
+  // jobs_/journal_.
   queue_.cancel_all();
   queue_.wait_idle();
 }
@@ -131,13 +100,6 @@ std::string AttackService::stats_json() const {
   std::ostringstream out;
   out << "{\"jobs_in_flight\":" << queue_.in_flight()
       << ",\"workers\":" << queue_.workers()
-      << ",\"netlist_cache\":{\"hits\":" << netlists_.hits()
-      << ",\"misses\":" << netlists_.misses()
-      << ",\"entries\":" << netlists_.size() << "}"
-      << ",\"skeleton_cache\":{\"hits\":" << skeletons_.hits()
-      << ",\"misses\":" << skeletons_.misses()
-      << ",\"entries\":" << skeletons_.size()
-      << ",\"bytes\":" << skeletons_.memory_bytes() << "}"
       << ",\"journal_failures\":" << journal_.failures() << "}";
   return out.str();
 }
@@ -354,9 +316,9 @@ HttpResponse AttackService::job_proof(const std::string& id) {
   return response;
 }
 
-std::shared_ptr<const netlist::Netlist> AttackService::resolve_netlist(
-    const std::string& body, const std::string& field, std::string* hex_out,
-    std::string* telemetry) {
+netlist::Netlist AttackService::resolve_netlist(const std::string& body,
+                                                const std::string& field,
+                                                std::string& telemetry) {
   std::string text = json_string_field(body, field);
   bool verilog = false;
   if (text.empty()) {
@@ -371,27 +333,24 @@ std::shared_ptr<const netlist::Netlist> AttackService::resolve_netlist(
     verilog = text.find("module ") != std::string::npos;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  bool hit = false;
-  std::string hex;
-  auto parsed = netlists_.get(text, verilog, &hex, &hit);
-  if (parsed->node_count() == 0 || parsed->outputs().empty()) {
+  // The parse format is part of the content's identity: identical bytes
+  // read as bench and as Verilog are different netlists.
+  const std::string hex = (verilog ? "v:" : "b:") + content_hash_hex(text);
+  netlist::Netlist parsed = verilog ? netlist::read_verilog_string(text)
+                                    : netlist::read_bench_string(text);
+  if (parsed.node_count() == 0 || parsed.outputs().empty()) {
     throw std::runtime_error(field +
                              ": no usable netlist parsed (corrupt input?)");
   }
-  if (hex_out) *hex_out = hex;
-  if (telemetry) {
-    *telemetry += ",\"" + field + "_cache\":\"" +
-                  (hit ? "hit" : "miss") + "\",\"" + field + "_hash\":\"" +
-                  hex + "\",\"" + field +
-                  "_parse_seconds\":" + fmt_seconds(now_minus(t0));
-  }
+  telemetry += ",\"" + field + "_hash\":\"" + hex + "\",\"" + field +
+               "_parse_seconds\":" + fmt_seconds(now_minus(t0));
   return parsed;
 }
 
-std::shared_ptr<const netlist::Netlist> AttackService::resolve_activated(
-    const std::string& body, std::string* telemetry) {
-  auto activated = resolve_netlist(body, "activated", nullptr, telemetry);
-  if (!activated->key_inputs().empty()) {
+netlist::Netlist AttackService::resolve_activated(const std::string& body,
+                                                  std::string& telemetry) {
+  netlist::Netlist activated = resolve_netlist(body, "activated", telemetry);
+  if (!activated.key_inputs().empty()) {
     throw std::runtime_error(
         "activated netlist must not have key inputs (unlock it first)");
   }
@@ -403,11 +362,9 @@ std::string AttackService::run_attack(const std::string& body,
                                       runtime::JobContext& ctx,
                                       std::string* proof_path) {
   std::string telemetry;
-  std::string locked_hex;
-  const auto locked = resolve_netlist(body, "locked", &locked_hex,
-                                      &telemetry);
-  const auto activated = resolve_activated(body, &telemetry);
-  attacks::Oracle oracle(*activated, {});
+  const netlist::Netlist locked = resolve_netlist(body, "locked", telemetry);
+  const netlist::Netlist activated = resolve_activated(body, telemetry);
+  attacks::Oracle oracle(activated, {});
 
   attacks::SatAttackOptions options;
   options.time_limit_seconds = ctx.timeout_seconds();
@@ -426,24 +383,7 @@ std::string AttackService::run_attack(const std::string& body,
     options.proof_file = *proof_path;
   }
 
-  // Level-2 cache: replay a captured miter skeleton for this locked
-  // content, or capture one on the first encounter.
-  attacks::engine::MiterSkeleton captured;
-  const auto skeleton = skeletons_.find(locked_hex);
-  if (skeleton) {
-    options.miter_skeleton = skeleton.get();
-    telemetry += ",\"skeleton_cache\":\"hit\"";
-  } else {
-    options.capture_skeleton = &captured;
-    telemetry += ",\"skeleton_cache\":\"miss\"";
-  }
-
-  const auto result = attacks::run_sat_attack(*locked, oracle, options);
-  if (!skeleton && !captured.empty()) {
-    skeletons_.put(locked_hex,
-                   std::make_shared<attacks::engine::MiterSkeleton>(
-                       std::move(captured)));
-  }
+  const auto result = attacks::run_sat_attack(locked, oracle, options);
   if (result.proof_path.empty()) *proof_path = "";  // nothing published
 
   std::string payload = "\"attack\":\"sat\",\"status\":\"" +
@@ -466,8 +406,8 @@ std::string AttackService::run_attack(const std::string& body,
 std::string AttackService::run_verify(const std::string& body,
                                       runtime::JobContext& ctx) {
   std::string telemetry;
-  const auto locked = resolve_netlist(body, "locked", nullptr, &telemetry);
-  const auto activated = resolve_activated(body, &telemetry);
+  const netlist::Netlist locked = resolve_netlist(body, "locked", telemetry);
+  const netlist::Netlist activated = resolve_activated(body, telemetry);
   const std::vector<bool> key =
       key_from_string(json_string_field(body, "key"));
 
@@ -475,7 +415,7 @@ std::string AttackService::run_verify(const std::string& body,
   // deadline and cancel flag. A key-width mismatch throws: a job error.
   const auto t0 = std::chrono::steady_clock::now();
   const cnf::EquivalenceResult result = cnf::check_equivalence(
-      *locked, *activated, key, {},
+      locked, activated, key, {},
       {.time_limit_seconds = ctx.timeout_seconds(),
        .cancel = &ctx.cancel_flag()});
   const double seconds = now_minus(t0);
@@ -493,13 +433,13 @@ std::string AttackService::run_verify(const std::string& body,
 
 std::string AttackService::run_lock(const std::string& body) {
   std::string telemetry;
-  const auto host = resolve_netlist(body, "host", nullptr, &telemetry);
+  const netlist::Netlist host = resolve_netlist(body, "host", telemetry);
   const std::string scheme = json_string_field(body, "scheme");
   auto number = [&](const char* field, double fallback) {
     return static_cast<std::size_t>(json_number_field(body, field, fallback));
   };
   const auto lock = locking::lock_by_name(
-      scheme, *host,
+      scheme, host,
       {.bits = number("bits", 32),
        .size = number("size", 8),
        .blocks = number("blocks", 1),

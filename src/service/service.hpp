@@ -6,18 +6,18 @@
 // runtime::JobQueue worker pool the campaign runner uses (per-job
 // deadlines, cooperative cancellation, exception isolation), and results
 // are retrieved by job id -- including the streamed DRAT certificate of a
-// certified attack. Two caches persist across requests (src/service/
-// caches.hpp): parsed netlists and miter CNF skeletons, both keyed by
-// content hash. A verify job checks its key with the structural CEC
-// (cnf::check_equivalence), as every other key check in the project does,
-// and keeps no state. Every terminal job is appended to
-// a kill-safe JSONL journal (runtime::JsonlWriter); on restart the journal
-// is replayed so finished jobs stay queryable and jobs that were queued
-// when the process died surface as status "lost" instead of vanishing.
+// certified attack. Nothing but the job table and the journal persists
+// across requests: every job parses its own netlists and encodes its own
+// miter. A verify job checks its key with the structural CEC
+// (cnf::check_equivalence), as every other key check in the project does.
+// Every terminal job is appended to a kill-safe JSONL journal
+// (runtime::JsonlWriter); on restart the journal is replayed so finished
+// jobs stay queryable and jobs that were queued when the process died
+// surface as status "lost" instead of vanishing.
 //
 // Endpoints (all JSON unless noted):
 //   GET  /v1/health                liveness + version info
-//   GET  /v1/stats                 cache hit/miss counters, queue state
+//   GET  /v1/stats                 queue state, journal failures
 //   POST /v1/jobs[?wait=1]        submit a job; wait=1 blocks for the result
 //   GET  /v1/jobs/<id>             job status / result
 //   GET  /v1/jobs/<id>/proof       the job's DRAT certificate (octet-stream)
@@ -34,12 +34,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 
+#include "netlist/netlist.hpp"
 #include "runtime/campaign.hpp"
-#include "service/caches.hpp"
 #include "service/http.hpp"
 
 namespace ril::service {
@@ -72,7 +71,8 @@ class AttackService {
   /// Blocks until shutdown is requested.
   void wait_shutdown();
 
-  /// Cache/queue counters as a JSON object body (the /v1/stats payload).
+  /// Queue and journal counters as a JSON object body (the /v1/stats
+  /// payload).
   std::string stats_json() const;
 
  private:
@@ -100,14 +100,14 @@ class AttackService {
   std::string run_check_proof(const std::string& body);
 
   /// Resolves a netlist argument: `<field>` inline or `<field>_path` on
-  /// disk; parses through the netlist cache. Appends per-request cache and
-  /// latency telemetry to `*telemetry` (JSON fields, comma-prefixed).
-  std::shared_ptr<const netlist::Netlist> resolve_netlist(
-      const std::string& body, const std::string& field,
-      std::string* hex_out, std::string* telemetry);
+  /// disk, parsed into a netlist the job owns. Appends the content hash
+  /// and parse latency to `telemetry` (JSON fields, comma-prefixed).
+  netlist::Netlist resolve_netlist(const std::string& body,
+                                   const std::string& field,
+                                   std::string& telemetry);
   /// resolve_netlist for "activated", which must have no key inputs.
-  std::shared_ptr<const netlist::Netlist> resolve_activated(
-      const std::string& body, std::string* telemetry);
+  netlist::Netlist resolve_activated(const std::string& body,
+                                     std::string& telemetry);
 
   void replay_journal();
   std::string job_json(const Job& job) const;
@@ -116,9 +116,6 @@ class AttackService {
   ServiceOptions options_;
   runtime::JobQueue queue_;
   runtime::JsonlWriter journal_;
-
-  NetlistCache netlists_;
-  SkeletonCache skeletons_;
 
   mutable std::mutex jobs_mutex_;
   std::condition_variable jobs_cv_;

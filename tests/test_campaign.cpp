@@ -247,6 +247,45 @@ TEST(Campaign, ResumeAfterKillIgnoresTruncatedLine) {
   std::remove(path.c_str());
 }
 
+TEST(Campaign, ResumeReadsRecordFieldsFromTheTopLevel) {
+  // A cell's payload may carry fields named like the record's own. The
+  // record has no "error" and its "data" object does: the restored record
+  // must keep the top-level fields and leave "error" empty.
+  const std::string path = scratch_path("top_level");
+  {
+    std::ofstream out(path);
+    out << R"({"data":{"key":"other","status":"error","error":"inner",)"
+        << R"("queue_seconds":9,"run_seconds":9},"key":"t-1","status":"ok",)"
+        << R"("queue_seconds":0.25,"run_seconds":0.5})" << "\n";
+  }
+  std::atomic<int> runs{0};
+  std::vector<CampaignJob> jobs;
+  for (const char* key : {"t-1", "other"}) {
+    CampaignJob job;
+    job.key = key;
+    job.run = [&runs](JobContext&) {
+      runs.fetch_add(1);
+      return std::string("\"fresh\":1");
+    };
+    jobs.push_back(std::move(job));
+  }
+  CampaignOptions options;
+  options.out_path = path;
+  options.resume = true;
+  const auto summary = run_campaign(jobs, options);
+  EXPECT_EQ(runs.load(), 1);  // only "other" runs: it has no record
+  EXPECT_EQ(summary.cached, 1u);
+  EXPECT_EQ(summary.records[0].status, "cached");
+  EXPECT_EQ(summary.records[0].error, "");
+  EXPECT_DOUBLE_EQ(summary.records[0].queue_seconds, 0.25);
+  EXPECT_DOUBLE_EQ(summary.records[0].run_seconds, 0.5);
+  EXPECT_EQ(json_string_field("{" + summary.records[0].payload + "}",
+                              "error"),
+            "inner");
+  EXPECT_EQ(summary.records[1].status, "ok");
+  std::remove(path.c_str());
+}
+
 TEST(Campaign, RecordJsonRoundTrips) {
   JobRecord record;
   record.key = "table1/2x2/3-blocks";
@@ -405,6 +444,48 @@ TEST(Campaign, JsonHelpersHandleEscapesAndNesting) {
   EXPECT_EQ(json_object_field(line, "data"), R"("inner":{"n":2},"s":"{")");
   EXPECT_EQ(json_number_field(line, "absent", -7), -7);
   EXPECT_EQ(json_string_field(line, "absent"), "");
+}
+
+TEST(Campaign, JsonStringFieldRoundTripsEveryByte) {
+  // json_escape emits \u00XX for control characters; json_string_field
+  // must read every byte back as it was written.
+  std::string all;
+  for (int b = 0; b <= 0xff; ++b) all += static_cast<char>(b);
+  const std::string line = "{\"s\":\"" + json_escape(all) + "\"}";
+  EXPECT_EQ(json_string_field(line, "s"), all);
+  const std::string mixed = "a\x01" "b\fc/";
+  const std::string mixed_line = "{\"s\":\"" + json_escape(mixed) + "\"}";
+  EXPECT_EQ(json_string_field(mixed_line, "s"), mixed);
+}
+
+TEST(Campaign, JsonStringFieldDecodesStandardEscapes) {
+  EXPECT_EQ(json_string_field(R"({"s":"x\u0041\b"})", "s"), "xA\b");
+  EXPECT_EQ(json_string_field(R"({"s":"\u0041\b\f\/\"\\"})", "s"),
+            "A\b\f/\"\\");
+  EXPECT_EQ(json_string_field(R"({"s":"\n\r\t"})", "s"), "\n\r\t");
+  // \uXXXX decodes to UTF-8; a surrogate pair joins into one code point.
+  EXPECT_EQ(json_string_field(R"({"s":"\u00e9\u20AC"})", "s"),
+            "\xc3\xa9\xe2\x82\xac");
+  EXPECT_EQ(json_string_field(R"({"s":"\ud83d\ude00"})", "s"),
+            "\xf0\x9f\x98\x80");
+  // An unpaired surrogate becomes U+FFFD.
+  EXPECT_EQ(json_string_field(R"({"s":"\ud83dx"})", "s"), "\xef\xbf\xbdx");
+  // Malformed hex reads like an unterminated string.
+  EXPECT_EQ(json_string_field(R"({"s":"a\u12G4"})", "s"), "");
+  EXPECT_EQ(json_string_field(R"({"s":"a\u12"})", "s"), "");
+  EXPECT_EQ(json_string_field(R"({"s":"unterminated)", "s"), "");
+}
+
+TEST(Campaign, JsonBoolAndTopLevelFields) {
+  const std::string line =
+      R"({"a":true,"data":{"b":true,"list":[{"c":1}]},"b": false})";
+  EXPECT_TRUE(json_bool_field(line, "a"));
+  EXPECT_TRUE(json_bool_field(line, "absent", true));
+  EXPECT_FALSE(json_bool_field(R"({"a":"true"})", "a"));
+  const std::string top = top_level_fields(line);
+  EXPECT_EQ(top, R"({"a":true,"data":{},"b": false})");
+  EXPECT_FALSE(json_bool_field(top, "b", true));
+  EXPECT_TRUE(json_bool_field(line, "b"));  // the nested one comes first
 }
 
 }  // namespace

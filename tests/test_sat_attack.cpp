@@ -47,40 +47,6 @@ TEST(SatAttack, BreaksXorLocking) {
   expect_attack_succeeds(host, locking::lock_xor(host, 12, 21));
 }
 
-TEST(SatAttack, SkeletonReplayIsBitIdentical) {
-  // The serve-mode CNF cache replays a captured miter encoding instead of
-  // re-running Tseitin; the whole search trajectory must be unchanged.
-  const Netlist host = host_circuit(11);
-  const auto locked = locking::lock_xor(host, 10, 31);
-
-  engine::MiterSkeleton skeleton;
-  SatAttackOptions capture_options;
-  capture_options.capture_skeleton = &skeleton;
-  Oracle cold_oracle(locked.netlist, locked.key);
-  const auto cold = run_sat_attack(locked.netlist, cold_oracle, capture_options);
-  ASSERT_EQ(cold.status, SatAttackStatus::kKeyFound);
-  EXPECT_FALSE(skeleton.empty());
-  EXPECT_GT(skeleton.clauses.size(), 0u);
-  EXPECT_GT(skeleton.memory_bytes(), 0u);
-
-  SatAttackOptions replay_options;
-  replay_options.miter_skeleton = &skeleton;
-  Oracle warm_oracle(locked.netlist, locked.key);
-  const auto warm = run_sat_attack(locked.netlist, warm_oracle, replay_options);
-  ASSERT_EQ(warm.status, SatAttackStatus::kKeyFound);
-  EXPECT_EQ(warm.key, cold.key);
-  EXPECT_EQ(warm.iterations, cold.iterations);
-  EXPECT_EQ(warm.conflicts, cold.conflicts);
-
-  // A skeleton from a different-shaped host must be rejected, not silently
-  // attacked.
-  const Netlist other_host = host_circuit(12, 150);
-  const auto other = locking::lock_xor(other_host, 4, 33);
-  Oracle other_oracle(other.netlist, other.key);
-  EXPECT_THROW(run_sat_attack(other.netlist, other_oracle, replay_options),
-               std::invalid_argument);
-}
-
 TEST(SatAttack, BreaksLutLocking) {
   const Netlist host = host_circuit(2);
   expect_attack_succeeds(host, locking::lock_lut(host, 3, 22));

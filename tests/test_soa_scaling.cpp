@@ -173,7 +173,7 @@ TEST(SoaIr, SimulatorMatchesNaiveSingleBitReference) {
 
 // Records the exact variable-allocation and clause stream crossing the
 // sink boundary, for bit-identical comparisons between encoder paths.
-struct RecordingSink final : ClauseSink {
+struct StreamLogSink final : ClauseSink {
   Var next = 0;
   std::vector<std::vector<int>> clauses;
 
@@ -193,13 +193,13 @@ TEST(StreamingTseitin, BitIdenticalToPerNodeLegacyEncoding) {
   for (std::uint64_t seed : {31u, 32u, 33u, 34u}) {
     const Netlist nl = fuzz_dag(seed);
 
-    RecordingSink streamed;
+    StreamLogSink streamed;
     const auto enc = ril::cnf::encode_circuit(nl, streamed);
 
     // Reference: the historical interleaved walk -- allocate each node's
     // variable in topological order, emitting its clauses immediately
     // (encode_node allocates any XOR chain intermediates itself).
-    RecordingSink reference;
+    StreamLogSink reference;
     std::vector<Var> node_var(nl.node_count(), ril::sat::kNoVar);
     for (NodeId id : nl.topological_order()) {
       node_var[id] = reference.new_var();
@@ -218,10 +218,10 @@ TEST(StreamingTseitin, BitIdenticalToPerNodeLegacyEncoding) {
 
 TEST(StreamingTseitin, CountingWrapperSeesSameStream) {
   const Netlist nl = fuzz_dag(41);
-  RecordingSink direct;
+  StreamLogSink direct;
   ril::cnf::encode_circuit(nl, direct);
 
-  RecordingSink inner;
+  StreamLogSink inner;
   CountingSink counting(&inner);
   ril::cnf::encode_circuit(nl, counting);
 
@@ -232,7 +232,7 @@ TEST(StreamingTseitin, CountingWrapperSeesSameStream) {
 
 TEST(StreamingTseitin, BoundInputsKeepHistoricalNumbering) {
   const Netlist nl = fuzz_dag(42);
-  RecordingSink sink;
+  StreamLogSink sink;
   std::unordered_map<NodeId, Var> bound;
   for (std::size_t i = 0; i < nl.inputs().size(); i += 2) {
     bound[nl.inputs()[i]] = sink.new_var();
@@ -256,7 +256,7 @@ TEST(StreamingTseitin, RejectsSequentialCircuits) {
   const NodeId a = nl.add_input("a");
   const NodeId q = nl.add_gate(GateType::kDff, {a}, "q");
   nl.mark_output(q);
-  RecordingSink sink;
+  StreamLogSink sink;
   EXPECT_THROW(ril::cnf::encode_circuit(nl, sink), std::invalid_argument);
 }
 
@@ -282,7 +282,7 @@ TEST(ClauseBatch, DefaultSinkForwardsClauseByClause) {
   ClauseBatch batch;
   batch.add({Lit::make(0), Lit::make(1)});
   batch.add({Lit::make(1, true)});
-  RecordingSink sink;
+  StreamLogSink sink;
   sink.ensure_var(1);
   EXPECT_TRUE(sink.add_clauses(batch));
   ASSERT_EQ(sink.clauses.size(), 2u);

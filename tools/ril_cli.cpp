@@ -71,10 +71,10 @@
 //             [--journal file.jsonl] [--proof-dir DIR] [--timeout S]
 //       Long-lived attack-as-a-service daemon: lock / attack / verify /
 //       check-proof jobs over HTTP/1.1 + JSON on 127.0.0.1, with
-//       cross-request netlist / CNF-skeleton caches, structural-CEC key
-//       verification, per-job deadlines, a kill-safe JSONL journal, and
-//       streamed DRAT certificate retrieval. See docs/SERVICE.md for the
-//       API.
+//       structural-CEC key verification, per-job deadlines, a kill-safe
+//       JSONL journal, and streamed DRAT certificate retrieval. No state
+//       but the job table and journal persists across requests. See
+//       docs/SERVICE.md for the API.
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
